@@ -31,7 +31,7 @@ use crate::walk::{adaptive_crawl, adaptive_walk, scan_for_intersection, ExploreS
 use std::sync::Arc;
 use std::time::Instant;
 use tfm_geom::{Aabb, SpatialElement};
-use tfm_memjoin::{grid_hash_join, ResultPair};
+use tfm_memjoin::{GridJoin, ResultPair};
 use tfm_storage::{CacheHandle, Disk, ElementPageCodec, PageReads, SharedPageCache};
 
 /// Result of a TRANSFORMERS join.
@@ -139,12 +139,16 @@ impl<'a> Side<'a> {
         }
     }
 
-    fn read_unit_elements(&mut self, unit: UnitId, out: &mut Vec<SpatialElement>) {
-        let page = self.units[unit.0 as usize].page;
-        let elems = self
-            .cache
-            .elements(&self.codec, page, &mut self.elem_scratch);
-        out.extend_from_slice(&elems);
+    /// Replaces `out` with the elements of `units`' pages, in order.
+    fn gather(&mut self, units: &[UnitId], out: &mut Vec<SpatialElement>) {
+        out.clear();
+        for u in units {
+            let page = self.units[u.0 as usize].page;
+            let elems = self
+                .cache
+                .elements(&self.codec, page, &mut self.elem_scratch);
+            out.extend_from_slice(&elems);
+        }
     }
 }
 
@@ -159,6 +163,11 @@ struct Ctx {
     /// sequential join and in independent-worker mode, where only the
     /// per-owner `Side::checked` state is consulted.
     todo: Option<Arc<SharedTodo>>,
+    /// Per-pivot scratch reused across pivots: the grid join's cell arrays
+    /// and the guide and follower elements gathered from the read pages.
+    grid: GridJoin,
+    guide_elems: Vec<SpatialElement>,
+    follower_elems: Vec<SpatialElement>,
 }
 
 impl Ctx {
@@ -190,6 +199,9 @@ impl Ctx {
             stats,
             raw: Vec::new(),
             todo: None,
+            grid: GridJoin::default(),
+            guide_elems: Vec::new(),
+            follower_elems: Vec::new(),
         }
     }
 
@@ -489,35 +501,17 @@ fn process_node_pivot(
     // a node's units occupy contiguous pages, so candidate batches read
     // mostly sequentially — the locality benefit of the data-oriented
     // layout the paper relies on.
+    let tg = Instant::now();
     let pages = (guide_keep.len() + follower_keep.len()) as u64;
-    let mut guide_elems = Vec::new();
-    for &u in &guide_keep {
-        guide.read_unit_elements(u, &mut guide_elems);
-    }
+    guide.gather(&guide_keep, &mut ctx.guide_elems);
     let mut follower_keep = follower_keep;
     follower_keep.sort_unstable_by_key(|u| follower.units[u.0 as usize].page);
-    let mut follower_elems = Vec::new();
-    for &u in &follower_keep {
-        follower.read_unit_elements(u, &mut follower_elems);
-    }
+    follower.gather(&follower_keep, &mut ctx.follower_elems);
+    ctx.stats.gather += tg.elapsed();
     ctx.cost
         .record_io(pages, guide.disk.model().access_cost(false) * pages as u32);
 
-    // In-memory join (grid hash join, §VII-A).
-    let tj = Instant::now();
-    let before = ctx.stats.mem.element_tests;
-    let pairs = grid_hash_join(
-        &guide_elems,
-        &follower_elems,
-        &ctx.cfg.mem_grid,
-        &mut ctx.stats.mem,
-    );
-    let dt = tj.elapsed();
-    ctx.stats.join_cpu += dt;
-    ctx.cost
-        .record_comparisons(ctx.stats.mem.element_tests - before, dt);
-    push_oriented(&mut ctx.raw, pairs, guide_is_a);
-
+    join_gathered(ctx, guide_is_a);
     finish_pivot(ctx, guide, guide_is_a, ng);
 }
 
@@ -658,8 +652,9 @@ fn process_node_units(
             .record_exploration(r.steps + crawl.steps, dt_explore);
 
         // Read the guide unit's page.
-        let mut guide_elems = Vec::new();
-        guide.read_unit_elements(unit_id, &mut guide_elems);
+        let tg = Instant::now();
+        guide.gather(&[unit_id], &mut ctx.guide_elems);
+        ctx.stats.gather += tg.elapsed();
         ctx.cost.record_io(1, guide.disk.model().access_cost(false));
 
         if split_elements {
@@ -667,40 +662,45 @@ fn process_node_units(
             // is read only if an actual guide element touches it.
             ctx.stats.element_layout_transformations += 1;
             ctx.cost.on_transformation();
-            join_element_level(ctx, guide_is_a, &guide_elems, follower, &crawl.candidates);
+            join_element_level(ctx, guide_is_a, follower, &crawl.candidates);
         } else {
-            let mut follower_elems = Vec::new();
-            for &fu in &crawl.candidates {
-                follower.read_unit_elements(fu, &mut follower_elems);
-            }
+            let tg = Instant::now();
+            follower.gather(&crawl.candidates, &mut ctx.follower_elems);
+            ctx.stats.gather += tg.elapsed();
             ctx.cost.record_io(
                 crawl.candidates.len() as u64,
                 follower.disk.model().access_cost(false) * crawl.candidates.len() as u32,
             );
-            let tj = Instant::now();
-            let before = ctx.stats.mem.element_tests;
-            let pairs = grid_hash_join(
-                &guide_elems,
-                &follower_elems,
-                &ctx.cfg.mem_grid,
-                &mut ctx.stats.mem,
-            );
-            let dt = tj.elapsed();
-            ctx.stats.join_cpu += dt;
-            ctx.cost
-                .record_comparisons(ctx.stats.mem.element_tests - before, dt);
-            push_oriented(&mut ctx.raw, pairs, guide_is_a);
+            join_gathered(ctx, guide_is_a);
         }
     }
 }
 
-/// Element-level join of one guide unit against the candidate follower
-/// units: candidate pages whose page MBB no guide element touches are
-/// filtered out without being read.
+/// In-memory join (grid hash join, §VII-A) of the gathered guide and
+/// follower elements; the pairs land in `ctx.raw` oriented (A, B).
+fn join_gathered(ctx: &mut Ctx, guide_is_a: bool) {
+    let tj = Instant::now();
+    let (before, from) = (ctx.stats.mem.element_tests, ctx.raw.len());
+    ctx.grid.join_into(
+        &ctx.guide_elems,
+        &ctx.follower_elems,
+        &ctx.cfg.mem_grid,
+        &mut ctx.stats.mem,
+        &mut ctx.raw,
+    );
+    orient_from(&mut ctx.raw, from, guide_is_a);
+    let dt = tj.elapsed();
+    ctx.stats.join_cpu += dt;
+    ctx.cost
+        .record_comparisons(ctx.stats.mem.element_tests - before, dt);
+}
+
+/// Element-level join of the gathered guide unit against the candidate
+/// follower units: candidate pages whose page MBB no guide element touches
+/// are filtered out without being read.
 fn join_element_level(
     ctx: &mut Ctx,
     guide_is_a: bool,
-    guide_elems: &[SpatialElement],
     follower: &mut Side<'_>,
     candidates: &[UnitId],
 ) {
@@ -711,7 +711,7 @@ fn join_element_level(
         // Element-granularity filter: does any actual guide element reach
         // this follower page?
         let mut touched = false;
-        for e in guide_elems {
+        for e in &ctx.guide_elems {
             ctx.stats.metadata_tests += 1;
             if e.mbb.intersects(&fbox) {
                 touched = true;
@@ -723,30 +723,30 @@ fn join_element_level(
             continue;
         }
         read_pages += 1;
-        let mut follower_elems = Vec::new();
-        follower.read_unit_elements(fu, &mut follower_elems);
+        let tg = Instant::now();
+        follower.gather(&[fu], &mut ctx.follower_elems);
+        ctx.stats.gather += tg.elapsed();
 
         let tj = Instant::now();
-        let before = ctx.stats.mem.element_tests;
-        let mut pairs = Vec::new();
-        for e in guide_elems {
+        let (before, from) = (ctx.stats.mem.element_tests, ctx.raw.len());
+        for e in &ctx.guide_elems {
             ctx.stats.metadata_tests += 1;
             if !e.mbb.intersects(&fbox) {
                 continue;
             }
-            for f in &follower_elems {
+            for f in &ctx.follower_elems {
                 ctx.stats.mem.element_tests += 1;
                 if e.mbb.intersects(&f.mbb) {
-                    pairs.push((e.id, f.id));
+                    ctx.raw.push((e.id, f.id));
                 }
             }
         }
-        ctx.stats.mem.results += pairs.len() as u64;
+        ctx.stats.mem.results += (ctx.raw.len() - from) as u64;
+        orient_from(&mut ctx.raw, from, guide_is_a);
         let dt = tj.elapsed();
         ctx.stats.join_cpu += dt;
         ctx.cost
             .record_comparisons(ctx.stats.mem.element_tests - before, dt);
-        push_oriented(&mut ctx.raw, pairs, guide_is_a);
     }
     ctx.cost.record_filter(
         candidates.len() as u64 - read_pages,
@@ -758,12 +758,13 @@ fn join_element_level(
     );
 }
 
-/// Appends pairs oriented as (id in A, id in B).
-fn push_oriented(raw: &mut Vec<ResultPair>, pairs: Vec<ResultPair>, guide_is_a: bool) {
-    if guide_is_a {
-        raw.extend(pairs);
-    } else {
-        raw.extend(pairs.into_iter().map(|(g, f)| (f, g)));
+/// Orients the pairs `raw[from..]`, found as (guide id, follower id), as
+/// (id in A, id in B).
+fn orient_from(raw: &mut [ResultPair], from: usize, guide_is_a: bool) {
+    if !guide_is_a {
+        for (g, f) in &mut raw[from..] {
+            std::mem::swap(g, f);
+        }
     }
 }
 

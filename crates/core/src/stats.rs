@@ -60,6 +60,9 @@ pub struct TransformersStats {
     pub join_cpu: Duration,
     /// Wall-clock time spent in walk/crawl/filter/transformation logic.
     pub exploration_overhead: Duration,
+    /// Wall-clock time spent gathering the elements of the pages a pivot
+    /// reads (cache lookups, store reads on a miss, decode and copy).
+    pub gather: Duration,
     /// Simulated device time for all page traffic during the join.
     pub sim_io: Duration,
 }
@@ -109,6 +112,13 @@ impl TransformersStats {
         reg.counter(names::JOIN_PRUNED_UNITS).add(self.pruned_units);
         reg.counter(names::JOIN_WALK_STEPS).add(self.walk_steps);
         reg.counter(names::JOIN_CRAWL_STEPS).add(self.crawl_steps);
+        let nanos = |d: Duration| d.as_nanos() as u64;
+        reg.counter(names::JOIN_PHASE_EXPLORE_NANOS)
+            .add(nanos(self.exploration_overhead));
+        reg.counter(names::JOIN_PHASE_GATHER_NANOS)
+            .add(nanos(self.gather));
+        reg.counter(names::JOIN_PHASE_KERNEL_NANOS)
+            .add(nanos(self.join_cpu));
     }
 
     /// Accumulates another stats record into this one.
@@ -138,6 +148,7 @@ impl TransformersStats {
         self.walk_fallbacks += other.walk_fallbacks;
         self.join_cpu += other.join_cpu;
         self.exploration_overhead += other.exploration_overhead;
+        self.gather += other.gather;
         self.sim_io += other.sim_io;
     }
 }
@@ -194,6 +205,7 @@ mod tests {
             cross_worker_pruned_units: 4,
             pruned_pivots: 2,
             join_cpu: Duration::from_millis(2),
+            gather: Duration::from_millis(4),
             ..Default::default()
         };
         a.merge(&b);
@@ -207,5 +219,23 @@ mod tests {
         assert_eq!(a.cross_worker_pruned_units, 4);
         assert_eq!(a.pruned_pivots, 2);
         assert_eq!(a.join_cpu, Duration::from_millis(3));
+        assert_eq!(a.gather, Duration::from_millis(4));
+    }
+
+    #[test]
+    fn publish_splits_pivot_time_into_phases() {
+        use tfm_obs::names;
+        let s = TransformersStats {
+            exploration_overhead: Duration::from_micros(7),
+            gather: Duration::from_micros(11),
+            join_cpu: Duration::from_micros(13),
+            ..Default::default()
+        };
+        let reg = tfm_obs::MetricsRegistry::new();
+        s.publish(&reg);
+        let get = |name| reg.counter(name).get();
+        assert_eq!(get(names::JOIN_PHASE_EXPLORE_NANOS), 7_000);
+        assert_eq!(get(names::JOIN_PHASE_GATHER_NANOS), 11_000);
+        assert_eq!(get(names::JOIN_PHASE_KERNEL_NANOS), 13_000);
     }
 }

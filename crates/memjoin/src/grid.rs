@@ -1,4 +1,12 @@
 //! Uniform-grid hash join (Tauheed et al., BICOD '15).
+//!
+//! The grid covers only the *intersection* of the two inputs' extents, which
+//! holds every intersecting pair; elements outside it are skipped. Cells are
+//! flat CSR arrays (per-cell offsets into one list of left-element copies in
+//! cell order) owned by a reusable [`GridJoin`]. One monotone, truncating
+//! cell function gives both sides' cell ranges and the reference cell: a pair
+//! is reported only in the cell holding the min corner of the two boxes'
+//! intersection, which lies in both ranges, so each pair is reported once.
 
 use crate::{JoinStats, ResultPair};
 use tfm_geom::{Aabb, Point3, SpatialElement};
@@ -41,171 +49,141 @@ impl GridConfig {
     }
 }
 
-/// A uniform grid over `extent` with elements hashed into overlapped cells.
-struct Grid {
-    extent: Aabb,
+/// Maps coordinates to the cells of an `n³` grid laid over a box.
+struct CellMap {
+    origin: Point3,
+    /// Cells per unit length, per dimension (0 on a zero-width extent).
+    scale: [f64; 3],
     n: usize,
-    cell_size: Point3,
-    /// Per cell: indices into the build-side slice.
-    cells: Vec<Vec<u32>>,
 }
 
-impl Grid {
-    fn build(extent: Aabb, n: usize, elements: &[SpatialElement]) -> Self {
-        let cell_size = Point3::new(
-            extent.extent(0) / n as f64,
-            extent.extent(1) / n as f64,
-            extent.extent(2) / n as f64,
-        );
-        let mut grid = Self {
-            extent,
+impl CellMap {
+    fn new(extent: &Aabb, n: usize) -> Self {
+        let w = |d| extent.extent(d);
+        let scale = [0, 1, 2].map(|d| if w(d) > 0.0 { n as f64 / w(d) } else { 0.0 });
+        Self {
+            origin: extent.min,
+            scale,
             n,
-            cell_size,
-            cells: vec![Vec::new(); n * n * n],
-        };
-        for (i, e) in elements.iter().enumerate() {
-            let (lo, hi) = grid.cell_range(&e.mbb);
-            for cz in lo[2]..=hi[2] {
-                for cy in lo[1]..=hi[1] {
-                    for cx in lo[0]..=hi[0] {
-                        let idx = grid.cell_index(cx, cy, cz);
-                        grid.cells[idx].push(i as u32);
-                    }
-                }
-            }
         }
-        grid
+    }
+
+    /// The cell coordinate of `v` along `dim`. Truncation saturates
+    /// (below the origin and NaN give 0), so the map is monotone in `v`.
+    #[inline]
+    fn cell(&self, dim: usize, v: f64) -> usize {
+        let c = ((v - self.origin.coord(dim)) * self.scale[dim]) as usize;
+        c.min(self.n - 1)
     }
 
     #[inline]
-    fn cell_index(&self, x: usize, y: usize, z: usize) -> usize {
-        (z * self.n + y) * self.n + x
+    fn cell3(&self, p: &Point3) -> [usize; 3] {
+        [self.cell(0, p.x), self.cell(1, p.y), self.cell(2, p.z)]
     }
 
-    /// Inclusive cell coordinate range overlapped by a box.
-    fn cell_range(&self, mbb: &Aabb) -> ([usize; 3], [usize; 3]) {
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for d in 0..3 {
-            let cs = self.cell_size.coord(d);
-            let (l, h) = if cs > 0.0 {
-                let l = ((mbb.min.coord(d) - self.extent.min.coord(d)) / cs).floor() as i64;
-                let h = ((mbb.max.coord(d) - self.extent.min.coord(d)) / cs).floor() as i64;
-                (l, h)
-            } else {
-                (0, 0)
-            };
-            lo[d] = l.clamp(0, self.n as i64 - 1) as usize;
-            hi[d] = h.clamp(0, self.n as i64 - 1) as usize;
+    /// Row-major index of every cell a box overlaps, in ascending order.
+    #[inline]
+    fn for_each_cell(&self, mbb: &Aabb, mut f: impl FnMut(usize, [usize; 3])) {
+        let (lo, hi) = (self.cell3(&mbb.min), self.cell3(&mbb.max));
+        for z in lo[2]..=hi[2] {
+            for y in lo[1]..=hi[1] {
+                let row = (z * self.n + y) * self.n;
+                for x in lo[0]..=hi[0] {
+                    f(row + x, [x, y, z]);
+                }
+            }
         }
-        (lo, hi)
-    }
-
-    /// Lower corner of a cell, for reference-point deduplication.
-    fn cell_min(&self, x: usize, y: usize, z: usize) -> Point3 {
-        Point3::new(
-            self.extent.min.x + x as f64 * self.cell_size.x,
-            self.extent.min.y + y as f64 * self.cell_size.y,
-            self.extent.min.z + z as f64 * self.cell_size.z,
-        )
-    }
-
-    fn cell_box(&self, x: usize, y: usize, z: usize) -> Aabb {
-        let min = self.cell_min(x, y, z);
-        let max = Point3::new(
-            if x + 1 == self.n {
-                self.extent.max.x
-            } else {
-                min.x + self.cell_size.x
-            },
-            if y + 1 == self.n {
-                self.extent.max.y
-            } else {
-                min.y + self.cell_size.y
-            },
-            if z + 1 == self.n {
-                self.extent.max.z
-            } else {
-                min.z + self.cell_size.z
-            },
-        );
-        Aabb::new(min, max)
     }
 }
 
-/// Joins `left` and `right` with a uniform-grid hash join.
-///
-/// The grid covers the union of both extents; `left` is hashed into every
-/// cell it overlaps, then each `right` element probes its overlapped cells.
-/// Duplicate candidate pairs (elements sharing several cells) are suppressed
-/// with the *reference-point* method: a pair is reported only in the cell
-/// containing the minimum corner of the two MBBs' intersection, so no
-/// result-set deduplication pass is needed — the same technique PBSM uses
-/// (paper §VIII-B, Dittrich & Seeger ICDE '00).
+/// Reusable scratch of the grid hash join: the CSR cell arrays survive
+/// between calls, so a caller joining many small inputs (one per pivot)
+/// reuses their capacity instead of allocating a grid per call.
+#[derive(Debug, Clone, Default)]
+pub struct GridJoin {
+    /// `offsets[c]..offsets[c + 1]` is cell `c`'s slice of `entries`.
+    offsets: Vec<usize>,
+    /// Copies of the left elements, grouped by cell.
+    entries: Vec<SpatialElement>,
+}
+
+impl GridJoin {
+    /// Joins `left` and `right`, appending every intersecting pair
+    /// `(left id, right id)` to `out` exactly once. `left` is hashed into
+    /// every cell it overlaps; each `right` element probes its cells.
+    pub fn join_into(
+        &mut self,
+        left: &[SpatialElement],
+        right: &[SpatialElement],
+        config: &GridConfig,
+        stats: &mut JoinStats,
+        out: &mut Vec<ResultPair>,
+    ) {
+        let extent = |s: &[SpatialElement]| Aabb::union_all(s.iter().map(|e| e.mbb));
+        let Some(clip) = extent(left).intersection(&extent(right)) else {
+            return;
+        };
+        let inside = |e: &&SpatialElement| e.mbb.intersects(&clip);
+        let map = CellMap::new(&clip, config.resolve(left.iter().filter(inside).count()));
+        let cells = map.n * map.n * map.n;
+
+        // Count per cell, prefix-sum into start offsets, fill using them as
+        // cursors (each ends at its cell's end), then shift them back.
+        self.offsets.clear();
+        self.offsets.resize(cells + 1, 0);
+        for a in left.iter().filter(inside) {
+            map.for_each_cell(&a.mbb, |c, _| self.offsets[c + 1] += 1);
+        }
+        for c in 1..=cells {
+            self.offsets[c] += self.offsets[c - 1];
+        }
+        self.entries.clear();
+        self.entries.resize(self.offsets[cells], left[0]);
+        for a in left.iter().filter(inside) {
+            map.for_each_cell(&a.mbb, |c, _| {
+                self.entries[self.offsets[c]] = *a;
+                self.offsets[c] += 1;
+            });
+        }
+        self.offsets.copy_within(0..cells, 1);
+        self.offsets[0] = 0;
+
+        let before = out.len();
+        for b in right.iter().filter(inside) {
+            map.for_each_cell(&b.mbb, |c, xyz| {
+                let cell = &self.entries[self.offsets[c]..self.offsets[c + 1]];
+                stats.element_tests += cell.len() as u64;
+                for a in cell {
+                    if a.mbb.intersects(&b.mbb) && map.cell3(&a.mbb.min.max(&b.mbb.min)) == xyz {
+                        out.push((a.id, b.id));
+                    }
+                }
+            });
+        }
+        stats.results += (out.len() - before) as u64;
+    }
+}
+
+/// Joins `left` and `right` with a uniform-grid hash join, using a fresh
+/// [`GridJoin`]. Callers joining repeatedly should keep one `GridJoin`.
 pub fn grid_hash_join(
     left: &[SpatialElement],
     right: &[SpatialElement],
     config: &GridConfig,
     stats: &mut JoinStats,
 ) -> Vec<ResultPair> {
-    if left.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    let extent = Aabb::union_all(left.iter().chain(right.iter()).map(|e| e.mbb));
-    let n = config.resolve(left.len());
-    let grid = Grid::build(extent, n, left);
-
     let mut out = Vec::new();
-    for b in right {
-        let (lo, hi) = grid.cell_range(&b.mbb);
-        for cz in lo[2]..=hi[2] {
-            for cy in lo[1]..=hi[1] {
-                for cx in lo[0]..=hi[0] {
-                    let cell_box = grid.cell_box(cx, cy, cz);
-                    for &ai in &grid.cells[grid.cell_index(cx, cy, cz)] {
-                        let a = &left[ai as usize];
-                        stats.element_tests += 1;
-                        if let Some(overlap) = a.mbb.intersection(&b.mbb) {
-                            // Reference point: report in the unique cell
-                            // holding the intersection's min corner.
-                            if cell_box.contains_point(&overlap.min)
-                                && is_reference_cell(&grid, &overlap.min, cx, cy, cz)
-                            {
-                                out.push((a.id, b.id));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    stats.results += out.len() as u64;
+    GridJoin::default().join_into(left, right, config, stats, &mut out);
     out
-}
-
-/// The reference point may lie exactly on a shared cell boundary, in which
-/// case `cell_box.contains_point` is true for several cells; tie-break by
-/// requiring this cell to be the floor-indexed owner of the point.
-#[inline]
-fn is_reference_cell(grid: &Grid, p: &Point3, cx: usize, cy: usize, cz: usize) -> bool {
-    let (lo, _) = grid.cell_range(&Aabb::from_point(*p));
-    lo == [cx, cy, cz]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{canonicalize, nested_loop_join};
-    use tfm_geom::Point3;
 
-    fn elem(id: u64, min: (f64, f64, f64), max: (f64, f64, f64)) -> SpatialElement {
-        SpatialElement::new(
-            id,
-            Aabb::new(
-                Point3::new(min.0, min.1, min.2),
-                Point3::new(max.0, max.1, max.2),
-            ),
-        )
+    fn elem(id: u64, (x, y, z): (f64, f64, f64), (u, v, w): (f64, f64, f64)) -> SpatialElement {
+        SpatialElement::new(id, Aabb::new(Point3::new(x, y, z), Point3::new(u, v, w)))
     }
 
     #[test]
@@ -227,6 +205,23 @@ mod tests {
     }
 
     #[test]
+    fn reference_point_on_a_cell_boundary_is_reported() {
+        // The intersection's min corner sits on a cell boundary of the 6³
+        // grid, where a separately rounded cell box once lost the pair.
+        let e = |id, c: [f64; 6]| elem(id, (c[0], c[1], c[2]), (c[3], c[4], c[5]));
+        #[rustfmt::skip]
+        let (a, b) = ([
+            [2.0999999999999996, 11.2, 5.6, 2.0999999999999996, 14.0, 7.699999999999999],
+            [8.399999999999999, 9.799999999999999, 21.0, 11.899999999999999, 13.299999999999999, 23.1],
+        ], [11.2, 12.6, 23.099999999999998, 11.2, 14.0, 26.599999999999998]);
+        let (a, b) = ([e(0, a[0]), e(1, a[1])], [e(0, b)]);
+        let mut s = JoinStats::default();
+        assert_eq!(nested_loop_join(&a, &b, &mut s), vec![(1, 0)]);
+        let got = grid_hash_join(&a, &b, &GridConfig::fixed(6), &mut s);
+        assert_eq!(got, vec![(1, 0)]);
+    }
+
+    #[test]
     fn no_duplicates_for_elements_spanning_many_cells() {
         // One huge element overlapping every cell of a fine grid.
         let a = vec![elem(0, (0.0, 0.0, 0.0), (100.0, 100.0, 100.0))];
@@ -244,6 +239,8 @@ mod tests {
         let mut s = JoinStats::default();
         assert!(grid_hash_join(&a, &[], &GridConfig::default(), &mut s).is_empty());
         assert!(grid_hash_join(&[], &a, &GridConfig::default(), &mut s).is_empty());
+        let far = vec![elem(0, (5.0, 5.0, 5.0), (6.0, 6.0, 6.0))];
+        assert!(grid_hash_join(&a, &far, &GridConfig::default(), &mut s).is_empty());
         assert_eq!(s.element_tests, 0);
     }
 

@@ -5,7 +5,10 @@
 //! provides those kernels:
 //!
 //! * [`grid_hash_join`] — the uniform-grid hash join of Tauheed et al.
-//!   (BICOD '15), used by PBSM and TRANSFORMERS (paper §VII-A);
+//!   (BICOD '15), used by PBSM and TRANSFORMERS (paper §VII-A). It grids
+//!   only the overlap of the two inputs' extents; [`GridJoin`] keeps its
+//!   flat cell arrays between calls for callers that join many small
+//!   inputs, such as one TRANSFORMERS pivot after another;
 //! * [`plane_sweep_join`] — the classic forward plane sweep, used by the
 //!   synchronized R-Tree baseline (paper §VII-A);
 //! * [`nested_loop_join`] — the quadratic oracle every other algorithm is
@@ -20,7 +23,7 @@
 mod grid;
 mod sweep;
 
-pub use grid::{grid_hash_join, GridConfig};
+pub use grid::{grid_hash_join, GridConfig, GridJoin};
 pub use sweep::plane_sweep_join;
 
 use tfm_geom::{ElementId, SpatialElement};

@@ -194,6 +194,18 @@ pub const JOIN_WALK_STEPS: &str = "join.walk_steps";
 /// Follower-crawl steps.
 pub const JOIN_CRAWL_STEPS: &str = "join.crawl_steps";
 
+// --- join.phase.* : where a join's pivot time goes ---
+//
+// Wall nanoseconds summed over every pivot of every worker, published
+// once per run from the merged `TransformersStats`.
+
+/// Walk, crawl, prefilter and transformation decisions.
+pub const JOIN_PHASE_EXPLORE_NANOS: &str = "join.phase.explore_nanos";
+/// Gathering the read pages' elements: cache, store reads, decode, copy.
+pub const JOIN_PHASE_GATHER_NANOS: &str = "join.phase.gather_nanos";
+/// The in-memory join kernels.
+pub const JOIN_PHASE_KERNEL_NANOS: &str = "join.phase.kernel_nanos";
+
 // --- build.* : index-build stage timings ---
 //
 // Each stage records via `MetricsRegistry::stage_span(prefix)`, which

@@ -6,7 +6,7 @@
 //! this is exactly the paper's *space unit* payload (§IV: "we pack as many
 //! elements into a space unit as can fit on a disk page").
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use tfm_geom::{Aabb, Point3, SpatialElement};
 
 /// Bytes per element record: 8 (id) + 6 × 8 (two corners).
@@ -85,29 +85,43 @@ impl ElementPageCodec {
     /// # Panics
     /// Panics if the page is shorter than its declared payload.
     pub fn decode(&self, page: &[u8]) -> Vec<SpatialElement> {
-        let mut out = Vec::new();
-        self.decode_into(page, &mut out);
-        out
+        self.records(page).collect()
     }
 
     /// Decodes a page directly into `out` (reusing its capacity — no
     /// intermediate allocation, unlike `decode`).
+    ///
+    /// # Panics
+    /// Panics if the page is shorter than its declared payload.
     pub fn decode_into(&self, page: &[u8], out: &mut Vec<SpatialElement>) {
-        let mut buf = page;
-        let count = buf.get_u16_le() as usize;
+        out.clear();
+        out.extend(self.records(page));
+    }
+
+    /// The elements stored in a page image, decoded one fixed-size record
+    /// at a time. The iterator knows its length, so collecting it (into a
+    /// `Vec` or an `Arc<[SpatialElement]>`) allocates exactly once.
+    ///
+    /// # Panics
+    /// Panics if the page is shorter than its declared payload.
+    pub(crate) fn records<'p>(
+        &self,
+        page: &'p [u8],
+    ) -> impl ExactSizeIterator<Item = SpatialElement> + 'p {
+        let count = u16::from_le_bytes([page[0], page[1]]) as usize;
+        let end = HEADER_SIZE + count * RECORD_SIZE;
         assert!(
-            page.len() >= HEADER_SIZE + count * RECORD_SIZE,
+            page.len() >= end,
             "corrupt element page: count {count} does not fit {} bytes",
             page.len()
         );
-        out.clear();
-        out.reserve(count);
-        for _ in 0..count {
-            let id = buf.get_u64_le();
-            let min = Point3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
-            let max = Point3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
-            out.push(SpatialElement::new(id, Aabb::new(min, max)));
-        }
+        page[HEADER_SIZE..end].chunks_exact(RECORD_SIZE).map(|r| {
+            let word =
+                |i: usize| u64::from_le_bytes(r[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+            let f = |i| f64::from_bits(word(i));
+            let (min, max) = (Point3::new(f(1), f(2), f(3)), Point3::new(f(4), f(5), f(6)));
+            SpatialElement::new(word(0), Aabb::new(min, max))
+        })
     }
 }
 
@@ -196,5 +210,92 @@ mod tests {
             ),
         );
         assert_eq!(c.decode(&c.encode(&[e])), vec![e]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt element page")]
+    fn count_past_the_page_end_panics() {
+        let c = ElementPageCodec::new(512);
+        let mut page = c.encode(&[elem(1, 1.0)]);
+        // 10 records need 562 bytes; the page has 512.
+        page[..HEADER_SIZE].copy_from_slice(&10u16.to_le_bytes());
+        c.decode(&page);
+    }
+
+    #[test]
+    fn decoders_and_the_shared_cache_agree() {
+        use crate::{Disk, DiskModel, SharedPageCache};
+        let c = ElementPageCodec::new(512);
+        let d = Disk::in_memory(512).with_model(DiskModel::free());
+        let pages: Vec<_> = (0..3u64)
+            .map(|n| {
+                let p = d.allocate();
+                let elems: Vec<_> = (0..n * 4).map(|i| elem(i, i as f64 - 5.5)).collect();
+                d.write_page(p, &c.encode(&elems));
+                p
+            })
+            .collect();
+        let cache = SharedPageCache::new(&d, 8);
+        let mut into = vec![elem(99, 0.0)];
+        for p in pages {
+            let page = d.read_page_vec(p);
+            c.decode_into(&page, &mut into);
+            assert_eq!(c.decode(&page), into);
+            assert_eq!(cache.read_decoded(&c, p).as_ref(), into.as_slice());
+            // Twice: the second answer comes from the decoded tier.
+            assert_eq!(cache.read_decoded(&c, p).as_ref(), into.as_slice());
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Finite doubles with the edge cases drawn often: signed zeros,
+        /// subnormals and the extremes; otherwise any finite bit pattern.
+        fn finite_f64() -> impl Strategy<Value = f64> {
+            const EDGES: [f64; 7] = [
+                0.0,
+                -0.0,
+                5e-324,
+                -5e-324,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                f64::MIN,
+            ];
+            (0usize..14, any::<u64>()).prop_map(|(i, bits)| match EDGES.get(i) {
+                Some(&v) => v,
+                // Clearing the exponent of a non-finite pattern leaves a
+                // subnormal with the same sign and mantissa.
+                None if f64::from_bits(bits).is_finite() => f64::from_bits(bits),
+                None => f64::from_bits(bits & !(0x7ff << 52)),
+            })
+        }
+
+        /// A valid box from six doubles: each axis ordered, where -0.0 and
+        /// 0.0 compare equal and keep the order they were drawn in.
+        fn arb_elem() -> impl Strategy<Value = SpatialElement> {
+            (any::<u64>(), prop::collection::vec(finite_f64(), 6)).prop_map(|(id, v)| {
+                let lo = [0, 1, 2].map(|d| if v[d] <= v[d + 3] { v[d] } else { v[d + 3] });
+                let hi = [0, 1, 2].map(|d| if v[d] <= v[d + 3] { v[d + 3] } else { v[d] });
+                let p = |c: [f64; 3]| Point3::new(c[0], c[1], c[2]);
+                SpatialElement::new(id, Aabb::new(p(lo), p(hi)))
+            })
+        }
+
+        fn bits(e: &SpatialElement) -> (u64, [u64; 6]) {
+            let (a, b) = (e.mbb.min, e.mbb.max);
+            (e.id, [a.x, a.y, a.z, b.x, b.y, b.z].map(f64::to_bits))
+        }
+
+        proptest! {
+            #[test]
+            fn roundtrip_is_bit_exact(elems in prop::collection::vec(arb_elem(), 0..10)) {
+                let c = ElementPageCodec::new(HEADER_SIZE + 9 * RECORD_SIZE);
+                let got: Vec<_> = c.decode(&c.encode(&elems)).iter().map(bits).collect();
+                let want: Vec<_> = elems.iter().map(bits).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -88,6 +88,16 @@ struct SharedFrame {
     page_lsn: u64,
 }
 
+impl SharedFrame {
+    /// Decodes the page bytes straight into the shared slice (one
+    /// allocation, no intermediate `Vec`) and keeps it as the decoded tier.
+    fn decode(&mut self, codec: &ElementPageCodec) -> Arc<[SpatialElement]> {
+        let decoded: Arc<[SpatialElement]> = codec.records(&self.buf).collect();
+        self.decoded = Some(Arc::clone(&decoded));
+        decoded
+    }
+}
+
 /// Per-shard counters (kept inside the shard lock; aggregated on demand).
 #[derive(Default)]
 struct ShardCounters {
@@ -487,8 +497,7 @@ impl<'d> SharedPageCache<'d> {
             }
             guard.counters.decoded_misses += 1;
             let f = guard.ring.payload_mut(i);
-            let decoded: Arc<[SpatialElement]> = codec.decode(&f.buf).into();
-            f.decoded = Some(Arc::clone(&decoded));
+            let decoded = f.decode(codec);
             let outcome = if was_prefetched {
                 DecodedOutcome::PrefetchedPage
             } else {
@@ -499,9 +508,7 @@ impl<'d> SharedPageCache<'d> {
         guard.counters.misses += 1;
         guard.counters.decoded_misses += 1;
         let f = Self::load_frame(self.disk, &mut guard, id);
-        let decoded: Arc<[SpatialElement]> = codec.decode(&f.buf).into();
-        f.decoded = Some(Arc::clone(&decoded));
-        (decoded, DecodedOutcome::Miss)
+        (f.decode(codec), DecodedOutcome::Miss)
     }
 
     /// Miss path: registers `id` in the ring (evicting/recycling under the
