@@ -22,9 +22,9 @@
 //! `TFM_SCALE`; override the output path with `--out`.
 
 use std::fmt::Write as _;
-use tfm_bench::{run_serve, run_serve_sharded, scaled, RunConfig, ServeEngineKind, ShardMetrics};
+use tfm_bench::{run_serve, scaled, RunConfig, ServeEngineKind, ServeMetrics};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, QueryTraceSpec};
-use tfm_serve::{ServeConfig, ShardServeConfig, ShardSpec};
+use tfm_serve::{serve_sharded, ServeConfig, ShardSpec, ShardedCluster};
 
 fn arg(args: &[String], name: &str, default: &str) -> String {
     args.iter()
@@ -62,21 +62,25 @@ fn main() {
     // Interleave rounds across configurations so every configuration
     // sees the same warm-up and thermal conditions; keep each
     // configuration's best qps and lowest p95.
-    let mut best: Vec<Option<ShardMetrics>> = vec![None; shard_sweep.len() * worker_sweep.len()];
+    let mut best: Vec<Option<ServeMetrics>> = vec![None; shard_sweep.len() * worker_sweep.len()];
     let mut results_identical = true;
     for _round in 0..rounds {
         for (si, &shards) in shard_sweep.iter().enumerate() {
             for (wi, &workers) in worker_sweep.iter().enumerate() {
-                let cfg = ShardServeConfig::default().with_workers(workers);
-                let (m, results) = run_serve_sharded(
-                    ServeEngineKind::Transformers,
-                    "shard-sweep",
-                    &dataset,
-                    &trace,
+                let cfg = ServeConfig::default().with_threads(workers);
+                let cluster = ShardedCluster::build(
+                    dataset.clone(),
                     &ShardSpec::default().with_shards(shards),
-                    &cfg,
                 );
-                results_identical &= results == reference;
+                let out = serve_sharded(&cluster, &trace, &cfg);
+                let m = ServeMetrics::from_stats(
+                    ServeEngineKind::Transformers,
+                    &format!("{shards} shards"),
+                    dataset.len(),
+                    &cfg,
+                    &out.stats,
+                );
+                results_identical &= out.results == reference;
                 let slot = &mut best[si * worker_sweep.len() + wi];
                 let better = match slot {
                     None => true,
@@ -92,19 +96,19 @@ fn main() {
             }
         }
     }
-    let rows: Vec<ShardMetrics> = best.into_iter().map(Option::unwrap).collect();
+    let rows: Vec<ServeMetrics> = best.into_iter().map(Option::unwrap).collect();
 
     // Gate 2: some N>1 configuration beats the 1-shard baseline at the
     // same worker count on throughput or p95.
     let baseline = |workers: usize| {
         rows.iter()
-            .find(|m| m.shards == 1 && m.workers_per_shard == workers)
+            .find(|m| m.shards == 1 && m.threads == workers)
             .expect("1-shard baseline row")
     };
     let mut sharded_beats_single = false;
-    let mut winner: Option<&ShardMetrics> = None;
+    let mut winner: Option<&ServeMetrics> = None;
     for m in rows.iter().filter(|m| m.shards > 1) {
-        let base = baseline(m.workers_per_shard);
+        let base = baseline(m.threads);
         if m.qps > base.qps || m.p95 < base.p95 {
             sharded_beats_single = true;
             if winner.is_none_or(|w| m.qps > w.qps) {
@@ -117,7 +121,7 @@ fn main() {
     // every percentile within 1.5× of its 1-shard baseline.
     const SLO_FACTOR: f64 = 1.5;
     let slo_met = winner.is_some_and(|m| {
-        let base = baseline(m.workers_per_shard);
+        let base = baseline(m.threads);
         m.p50.as_secs_f64() <= SLO_FACTOR * base.p50.as_secs_f64()
             && m.p95.as_secs_f64() <= SLO_FACTOR * base.p95.as_secs_f64()
             && m.p99.as_secs_f64() <= SLO_FACTOR * base.p99.as_secs_f64()
@@ -153,7 +157,7 @@ fn main() {
              \"routed_partials\": {}, \"shed_partials\": {}, \
              \"max_cluster_pressure\": {:.3}, \"pages_read\": {}}}",
             m.shards,
-            m.workers_per_shard,
+            m.threads,
             m.qps,
             m.p50.as_secs_f64() * 1e6,
             m.p95.as_secs_f64() * 1e6,
@@ -176,15 +180,14 @@ fn main() {
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_shard.json");
 
-    println!("== sharded serve cluster ==");
-    tfm_bench::print_shard_table(&rows);
+    tfm_bench::print_serve_table("sharded serve cluster", &rows);
     if let Some(w) = winner {
-        let base = baseline(w.workers_per_shard);
+        let base = baseline(w.threads);
         println!(
             "best multi-shard: {} shards x {} workers at {:.0} qps (1 shard: {:.0} qps), \
              p95 {:.1}us vs {:.1}us",
             w.shards,
-            w.workers_per_shard,
+            w.threads,
             w.qps,
             base.qps,
             w.p95.as_secs_f64() * 1e6,

@@ -6,44 +6,14 @@ use crate::runner::RunConfig;
 use std::time::Duration;
 use tfm_geom::{ElementId, SpatialElement, SpatialQuery};
 use tfm_serve::{
-    serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, ServeStats, TransformersEngine,
+    serve_trace, GipsyEngine, QueryEngine, RtreeEngine, ServeConfig, ServeEngineKind, ServeStats,
+    TransformersEngine,
 };
 use tfm_storage::{Disk, SharedPageCache};
 use transformers::{IndexBuildPipeline, IndexConfig, TransformersIndex};
 
-/// Which structure serves the trace (Approach-style labels for tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeEngineKind {
-    /// The TRANSFORMERS hierarchy (node/unit MBB prefilter + page reads).
-    Transformers,
-    /// The GIPSY strategy: per-probe directed walk + crawl at element
-    /// granularity.
-    Gipsy,
-    /// The STR-bulk-loaded R-tree baseline.
-    Rtree,
-}
-
-impl ServeEngineKind {
-    /// Short label for tables, matching the join harness's vocabulary.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeEngineKind::Transformers => "TRANSFORMERS",
-            ServeEngineKind::Gipsy => "GIPSY",
-            ServeEngineKind::Rtree => "R-TREE",
-        }
-    }
-
-    /// All three engines, for sweep-style comparisons.
-    pub fn all() -> [ServeEngineKind; 3] {
-        [
-            ServeEngineKind::Transformers,
-            ServeEngineKind::Gipsy,
-            ServeEngineKind::Rtree,
-        ]
-    }
-}
-
-/// Comparable measurements of one (engine, trace) serve run.
+/// Comparable measurements of one (engine, trace) serve run, single
+/// engine or sharded cluster.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     /// Workload label.
@@ -54,8 +24,10 @@ pub struct ServeMetrics {
     pub n_elements: usize,
     /// Queries replayed.
     pub queries: u64,
-    /// Serve workers.
+    /// Serve workers (per shard).
     pub threads: usize,
+    /// Shards that served the trace (1 for a single engine).
+    pub shards: usize,
     /// Batch size.
     pub batch: usize,
     /// Whether batches were Hilbert-ordered.
@@ -122,6 +94,16 @@ pub struct ServeMetrics {
     pub autobatch_shrinks: u64,
     /// Batch size in effect at end of trace (0 with auto-batch off).
     pub autobatch_final_batch: usize,
+    /// Mean shards routed per query.
+    pub fanout_mean: f64,
+    /// Largest per-query fanout.
+    pub fanout_max: usize,
+    /// Query partials routed (Σ fanout).
+    pub routed_partials: u64,
+    /// Query partials lost to load shedding.
+    pub shed_partials: u64,
+    /// Peak fraction of shard queues simultaneously full.
+    pub max_cluster_pressure: f64,
     /// Result ids returned, summed over the trace.
     pub result_ids: u64,
 }
@@ -145,7 +127,9 @@ impl ServeMetrics {
         self.pool_hits as f64 / total as f64
     }
 
-    fn from_stats(
+    /// The comparable row of one run's [`ServeStats`], from
+    /// [`tfm_serve::serve_trace`] or [`tfm_serve::serve_sharded`].
+    pub fn from_stats(
         kind: ServeEngineKind,
         workload: &str,
         n_elements: usize,
@@ -157,7 +141,8 @@ impl ServeMetrics {
             engine: kind.label().to_string(),
             n_elements,
             queries: stats.queries,
-            threads: cfg.threads.max(1),
+            threads: stats.threads,
+            shards: stats.shards,
             batch: cfg.batch.max(1),
             hilbert_batching: cfg.hilbert_batching,
             wall: stats.wall,
@@ -188,6 +173,11 @@ impl ServeMetrics {
             autobatch_grows: stats.autobatch.map_or(0, |a| a.grows),
             autobatch_shrinks: stats.autobatch.map_or(0, |a| a.shrinks),
             autobatch_final_batch: stats.autobatch.map_or(0, |a| a.final_batch),
+            fanout_mean: stats.fanout_mean(),
+            fanout_max: stats.fanout_max,
+            routed_partials: stats.routed_partials,
+            shed_partials: stats.shed_partials,
+            max_cluster_pressure: stats.max_cluster_pressure,
             result_ids: stats.result_ids,
         }
     }
@@ -467,6 +457,41 @@ mod tests {
                 None => reference = Some(results),
                 Some(r) => assert_eq!(&results, r, "{} diverges", kind.label()),
             }
+        }
+    }
+
+    #[test]
+    fn sharded_runner_matches_unsharded_runner() {
+        use tfm_serve::{serve_sharded, ShardSpec, ShardedCluster};
+        let elements = generate(&DatasetSpec {
+            max_side: 6.0,
+            ..DatasetSpec::uniform(1500, 71)
+        });
+        let trace = generate_trace(&QueryTraceSpec::uniform(120, 72));
+        let cfg = ServeConfig::default();
+        let (_, unsharded) = run_serve(
+            ServeEngineKind::Transformers,
+            "shard-bench",
+            &elements,
+            &trace,
+            &RunConfig::default(),
+            &cfg,
+        );
+        for shards in [1usize, 3] {
+            let cluster =
+                ShardedCluster::build(elements.clone(), &ShardSpec::default().with_shards(shards));
+            let out = serve_sharded(&cluster, &trace, &cfg);
+            let m = ServeMetrics::from_stats(
+                ServeEngineKind::Transformers,
+                "shard-bench",
+                elements.len(),
+                &cfg,
+                &out.stats,
+            );
+            assert_eq!(out.results, unsharded, "shards={shards}");
+            assert_eq!(m.shards, shards);
+            assert_eq!(m.queries, 120);
+            assert_eq!(m.shed_partials, 0);
         }
     }
 

@@ -9,10 +9,10 @@
 //! prefetch pipeline (dedicated I/O threads + Hilbert-driven readahead)
 //! active wherever the engine supports it.
 
-use tfm_bench::{run_approach, run_serve, run_serve_sharded, Approach, RunConfig, ServeEngineKind};
+use tfm_bench::{run_approach, run_serve, Approach, RunConfig, ServeEngineKind};
 use tfm_datagen::{generate, generate_trace, DatasetSpec, Distribution, QueryTraceSpec};
 use tfm_memjoin::canonicalize;
-use tfm_serve::{ServeConfig, ShardServeConfig, ShardSpec};
+use tfm_serve::{serve_sharded, ServeConfig, ShardSpec, ShardedCluster};
 use tfm_storage::StoreBackend;
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -87,22 +87,20 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
             shards: 3,
             ..ShardSpec::default()
         };
-        let (_, reference) = run_serve_sharded(
-            kind,
-            "io-eq",
-            &dataset,
+        let reference = serve_sharded(
+            &ShardedCluster::build(dataset.clone(), &mem_spec.with_engine(kind)),
             &trace,
-            &mem_spec,
-            &ShardServeConfig::default(),
-        );
+            &ServeConfig::default(),
+        )
+        .results;
         let file_spec = ShardSpec {
             shards: 3,
             backend: StoreBackend::File(dir.join(format!("{kind:?}"))),
             ..ShardSpec::default()
         };
         for &workers in &WORKER_SWEEP {
-            let cfg = ShardServeConfig {
-                workers_per_shard: workers,
+            let cfg = ServeConfig {
+                threads: workers,
                 batch: 32,
                 io_depth: 2,
                 readahead: if matches!(kind, ServeEngineKind::Rtree) {
@@ -110,9 +108,11 @@ fn sharded_serve_results_match_mem_across_engines_and_workers() {
                 } else {
                     32
                 },
-                ..ShardServeConfig::default()
+                ..ServeConfig::default()
             };
-            let (_, results) = run_serve_sharded(kind, "io-eq", &dataset, &trace, &file_spec, &cfg);
+            let cluster =
+                ShardedCluster::build(dataset.clone(), &file_spec.clone().with_engine(kind));
+            let results = serve_sharded(&cluster, &trace, &cfg).results;
             assert_eq!(
                 results, reference,
                 "{kind:?}: sharded file backend diverged at {workers} workers/shard"

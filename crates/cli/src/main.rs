@@ -667,9 +667,9 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use tfm_bench::{run_serve, run_serve_traced, ServeEngineKind};
+    use tfm_bench::{run_serve_traced, ServeEngineKind, ServeMetrics};
     use tfm_datagen::{generate_trace, ProbeMix, QueryTraceSpec};
-    use tfm_serve::ServeConfig;
+    use tfm_serve::{serve_sharded, ServeConfig, ShardPartitioner, ShardSpec, ShardedCluster};
 
     let path = required(args, "--in")?;
     let engine = match opt(args, "--engine").unwrap_or("transformers") {
@@ -697,26 +697,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let eps: f64 = parse(opt(args, "--eps").unwrap_or("5"), "--eps")?;
     let store = parse_store_opts(args)?;
     let cache_policy = parse_cache_policy(args)?;
+    // --shards N switches to the sharded scatter-gather cluster: the
+    // dataset is split into N self-contained index shards behind the
+    // probe-box router, served by the same driver as a single engine.
+    let shards = match opt(args, "--shards") {
+        Some(n) => match parse::<usize>(n, "--shards")? {
+            0 => return Err("--shards must be at least 1".into()),
+            n => Some(n),
+        },
+        None if flag(args, "--shed") || opt(args, "--shard-partitioner").is_some() => {
+            return Err("--shed/--shard-partitioner require --shards N".into())
+        }
+        None => None,
+    };
+    let partitioner = match opt(args, "--shard-partitioner").unwrap_or("hilbert") {
+        "hilbert" => ShardPartitioner::Hilbert,
+        "str" => ShardPartitioner::Str,
+        other => {
+            return Err(format!(
+                "unknown shard partitioner `{other}` (hilbert | str)"
+            ))
+        }
+    };
     let auto_batch = flag(args, "--auto-batch");
-    if opt(args, "--shards").is_some() {
-        // The sharded cluster keeps per-shard CLOCK caches and a fixed
-        // batch loop; fail fast before any file I/O.
-        if auto_batch {
-            return Err(
-                "--auto-batch tunes the unsharded serve batch loop; not supported with --shards"
-                    .into(),
-            );
-        }
-        if opt(args, "--cache-policy").is_some() {
-            return Err(
-                "--cache-policy applies to the unsharded serve path; shard caches are CLOCK".into(),
-            );
-        }
-    }
-    if auto_batch && threads == 1 {
+    if auto_batch && threads == 1 && shards.unwrap_or(1) == 1 {
         eprintln!(
-            "note: --auto-batch tunes the queued (multi-worker) batch loop; \
-             the single-threaded inline path ignores it"
+            "note: --auto-batch tunes the queued batch loop; \
+             the inline path (one shard, one worker) ignores it"
         );
     }
 
@@ -726,12 +733,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         max_eps: eps,
         ..QueryTraceSpec::with_mix(queries, mix, trace_seed)
     });
-    let run_cfg = RunConfig {
-        page_size,
-        build_threads,
-        backend: store.backend.clone(),
-        ..RunConfig::default()
-    };
     let serve_cfg = ServeConfig {
         threads,
         batch,
@@ -741,140 +742,48 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         readahead: store.readahead,
         auto_batch,
         cache_policy,
+        shed: flag(args, "--shed"),
         ..ServeConfig::default()
     };
     let metrics = parse_metrics(args)?;
-
-    // --shards N switches to the sharded scatter-gather cluster: the
-    // dataset is split into N self-contained index shards, each with its
-    // own cache and worker pool, behind the probe-box router.
-    if let Some(shards_str) = opt(args, "--shards") {
-        let shards: usize = parse(shards_str, "--shards")?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        let partitioner = match opt(args, "--shard-partitioner").unwrap_or("hilbert") {
-            "hilbert" => tfm_serve::ShardPartitioner::Hilbert,
-            "str" => tfm_serve::ShardPartitioner::Str,
-            other => {
-                return Err(format!(
-                    "unknown shard partitioner `{other}` (hilbert | str)"
-                ))
-            }
-        };
-        let spec = tfm_serve::ShardSpec {
-            shards,
-            partitioner,
-            page_size,
-            backend: store.backend.clone(),
-            ..tfm_serve::ShardSpec::default()
-        };
-        let shard_cfg = tfm_serve::ShardServeConfig {
-            workers_per_shard: threads,
-            batch,
-            hilbert_batching: !flag(args, "--no-hilbert"),
-            shed: flag(args, "--shed"),
-            io_depth: store.io_depth,
-            readahead: store.readahead,
-            ..tfm_serve::ShardServeConfig::default()
-        };
-        let snap = match &metrics {
-            Some(m) => start_metrics(m)?,
-            None => None,
-        };
-        let (m, results) =
-            tfm_bench::run_serve_sharded(engine, "cli", &elems, &trace, &spec, &shard_cfg);
-        println!("engine:          {} (sharded)", m.engine);
-        if let Some(dir) = store.dir() {
-            println!(
-                "backend:         file ({}; io depth {}, readahead {} pages)",
-                dir.display(),
-                store.io_depth,
-                store.readahead
-            );
-        }
-        println!("dataset:         {path} ({} elements)", m.n_elements);
-        println!(
-            "trace:           {} queries ({:?} probes, seed {trace_seed})",
-            m.queries, mix
-        );
-        println!(
-            "cluster:         {} shards x {} workers ({:?} split), batch {}",
-            m.shards, m.workers_per_shard, partitioner, batch
-        );
-        println!(
-            "throughput:      {:.0} queries/s  ({:.3}s wall)",
-            m.qps,
-            m.wall.as_secs_f64()
-        );
-        println!(
-            "latency:         p50 {:.1}us  p95 {:.1}us  p99 {:.1}us (critical path)",
-            m.p50.as_secs_f64() * 1e6,
-            m.p95.as_secs_f64() * 1e6,
-            m.p99.as_secs_f64() * 1e6
-        );
-        println!(
-            "routing:         fanout mean {:.2} max {} ({} partials), \
-             peak cluster pressure {:.0}%",
-            m.fanout_mean,
-            m.fanout_max,
-            m.routed_partials,
-            m.max_cluster_pressure * 100.0
-        );
-        if m.shed_partials > 0 {
-            println!(
-                "shedding:        {} partials shed — results are incomplete",
-                m.shed_partials
-            );
-        }
-        println!(
-            "serve I/O:       {} pages over {} shard disks, {} pool hits",
-            m.pages_read, m.shards, m.pool_hits
-        );
-        println!("result ids:      {}", m.result_ids);
-        if let Some(mo) = &metrics {
-            finish_metrics(mo, snap, &[])?;
-        }
-        if flag(args, "--verify") {
-            if m.shed_partials > 0 {
-                return Err("cannot --verify a run that shed load".into());
-            }
-            for (i, q) in trace.iter().enumerate() {
-                let mut expected: Vec<u64> = elems
-                    .iter()
-                    .filter(|e| q.matches(&e.mbb))
-                    .map(|e| e.id)
-                    .collect();
-                expected.sort_unstable();
-                if results[i] != expected {
-                    return Err(format!("query {i} diverges from the full-scan oracle"));
-                }
-            }
-            println!(
-                "verify:          OK (all {} queries match the full scan)",
-                m.queries
-            );
-        }
-        return Ok(());
-    }
-    if flag(args, "--shed") || opt(args, "--shard-partitioner").is_some() {
-        return Err("--shed/--shard-partitioner require --shards N".into());
-    }
 
     let snap = match &metrics {
         Some(m) => start_metrics(m)?,
         None => None,
     };
-    // With --metrics the run also collects one per-query trace (queue
-    // wait / service split, pool attribution) for the JSON-lines export.
-    let (m, results, traces) = if metrics.is_some() {
-        run_serve_traced(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg)
-    } else {
-        let (m, results) = run_serve(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg);
-        (m, results, Vec::new())
+    // Every run collects one per-query trace (queue wait / service split,
+    // pool attribution) for the JSON-lines export of --metrics.
+    let (m, results, traces) = match shards {
+        Some(shards) => {
+            let spec = ShardSpec {
+                shards,
+                partitioner,
+                engine,
+                page_size,
+                backend: store.backend.clone(),
+                ..ShardSpec::default()
+            };
+            let cfg = serve_cfg.with_traces();
+            let out = serve_sharded(&ShardedCluster::build(elems.clone(), &spec), &trace, &cfg);
+            let m = ServeMetrics::from_stats(engine, "cli", elems.len(), &cfg, &out.stats);
+            (m, out.results, out.traces)
+        }
+        None => {
+            let run_cfg = RunConfig {
+                page_size,
+                build_threads,
+                backend: store.backend.clone(),
+                ..RunConfig::default()
+            };
+            run_serve_traced(engine, "cli", &elems, &trace, &run_cfg, &serve_cfg)
+        }
     };
 
-    println!("engine:          {}", m.engine);
+    println!(
+        "engine:          {}{}",
+        m.engine,
+        if shards.is_some() { " (sharded)" } else { "" }
+    );
     if let Some(dir) = store.dir() {
         println!(
             "backend:         file ({}; io depth {}, readahead {} pages)",
@@ -888,6 +797,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "trace:           {} queries ({:?} probes, seed {trace_seed})",
         m.queries, mix
     );
+    if shards.is_some() {
+        println!(
+            "cluster:         {} shards x {} workers ({:?} split)",
+            m.shards, m.threads, partitioner
+        );
+        println!(
+            "routing:         fanout mean {:.2} max {} ({} partials), \
+             peak cluster pressure {:.0}%",
+            m.fanout_mean,
+            m.fanout_max,
+            m.routed_partials,
+            m.max_cluster_pressure * 100.0
+        );
+    }
     println!(
         "serving:         {} worker{}, batch {}, hilbert batching {}",
         m.threads,
@@ -895,10 +818,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         m.batch,
         if m.hilbert_batching { "on" } else { "off" }
     );
-    if m.autobatch_retunes > 0 || (auto_batch && m.threads > 1) {
+    if m.autobatch_retunes > 0 || (auto_batch && m.threads * m.shards > 1) {
         println!(
             "auto-batch:      {} retunes ({} grew, {} shrank), final batch {}",
             m.autobatch_retunes, m.autobatch_grows, m.autobatch_shrinks, m.autobatch_final_batch
+        );
+    }
+    if m.shed_partials > 0 {
+        println!(
+            "shedding:        {} partials shed — results are incomplete",
+            m.shed_partials
         );
     }
     println!(
@@ -913,7 +842,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         m.p95.as_secs_f64() * 1e6,
         m.p99.as_secs_f64() * 1e6
     );
-    if m.threads > 1 {
+    if m.threads * m.shards > 1 {
         println!(
             "queue wait:      p50 {:.1}us  p99 {:.1}us",
             m.queue_wait_p50.as_secs_f64() * 1e6,
@@ -947,6 +876,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     if flag(args, "--verify") {
+        if m.shed_partials > 0 {
+            return Err("cannot --verify a run that shed load".into());
+        }
         for (i, q) in trace.iter().enumerate() {
             let mut expected: Vec<u64> = elems
                 .iter()
@@ -1710,21 +1642,41 @@ mod tests {
             .expect_err("unknown policy must be rejected");
         assert!(err.contains("unknown cache policy"), "{err}");
 
-        // The sharded cluster keeps per-shard CLOCK caches and a fixed
-        // batch loop: both knobs are orphans with --shards.
-        let err = cmd_serve(&sv(&["--in", "x.elems", "--shards", "2", "--auto-batch"]))
-            .expect_err("--auto-batch must be rejected with --shards");
-        assert!(err.contains("--shards"), "{err}");
-        let err = cmd_serve(&sv(&[
-            "--in",
-            "x.elems",
-            "--shards",
-            "2",
-            "--cache-policy",
-            "2q",
+        // Every serve flag works at every shard count: the cluster builds
+        // its shard caches from --cache-policy / --private-pool and tunes
+        // batches through the same feeder as a single engine.
+        let path = std::env::temp_dir().join(format!("tfm_cli_flags_{}.elems", std::process::id()));
+        let path_s = path.to_str().unwrap();
+        cmd_generate(&sv(&[
+            "--count",
+            "600",
+            "--out",
+            path_s,
+            "--seed",
+            "71",
+            "--max-side",
+            "6",
         ]))
-        .expect_err("--cache-policy must be rejected with --shards");
-        assert!(err.contains("unsharded"), "{err}");
+        .unwrap();
+        for flags in [
+            &["--threads", "2", "--auto-batch", "--cache-policy", "2q"][..],
+            &["--private-pool"][..],
+        ] {
+            let mut args = sv(&[
+                "--in",
+                path_s,
+                "--queries",
+                "200",
+                "--batch",
+                "8",
+                "--shards",
+                "2",
+                "--verify",
+            ]);
+            args.extend(sv(flags));
+            cmd_serve(&args).unwrap_or_else(|e| panic!("--shards 2 {flags:?}: {e}"));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

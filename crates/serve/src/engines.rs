@@ -29,6 +29,40 @@ use tfm_storage::{
 };
 use transformers::{explore, MutableTransformers, TransformersIndex, UnitReader};
 
+/// Which index structure serves a trace — the one engine vocabulary of
+/// the harnesses and of [`crate::ShardSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeEngineKind {
+    /// The TRANSFORMERS hierarchy behind [`TransformersEngine`] (node/unit
+    /// MBB prefilter + page reads).
+    Transformers,
+    /// The TRANSFORMERS hierarchy crawled GIPSY-style ([`GipsyEngine`]):
+    /// per-probe directed walk + crawl at element granularity.
+    Gipsy,
+    /// An STR-bulk-loaded R-tree behind [`RtreeEngine`].
+    Rtree,
+}
+
+impl ServeEngineKind {
+    /// Short label for tables, matching [`QueryEngine::label`].
+    pub fn label(&self) -> &'static str {
+        match self {
+            ServeEngineKind::Transformers => "TRANSFORMERS",
+            ServeEngineKind::Gipsy => "GIPSY",
+            ServeEngineKind::Rtree => "R-TREE",
+        }
+    }
+
+    /// All three engines, for sweep-style comparisons.
+    pub fn all() -> [ServeEngineKind; 3] {
+        [
+            ServeEngineKind::Transformers,
+            ServeEngineKind::Gipsy,
+            ServeEngineKind::Rtree,
+        ]
+    }
+}
+
 /// A built index structure that can serve spatial queries.
 ///
 /// Engines are shared (`&self`) across workers; each worker obtains a

@@ -9,38 +9,44 @@
 //!
 //! * [`QueryEngine`] / [`QuerySession`] — one trait implemented by all
 //!   three disk-resident structures (TRANSFORMERS, GIPSY-style
-//!   element-granularity crawling, the R-tree baseline). Engines are
-//!   shared immutably across workers; sessions hold all per-worker
-//!   mutable state (a private [`tfm_storage::BufferPool`] via the core's
-//!   `UnitReader` split handle), so concurrent readers never contend.
+//!   element-granularity crawling, the R-tree baseline), named by
+//!   [`ServeEngineKind`]. Engines are shared immutably across workers;
+//!   sessions hold all per-worker mutable state (a view of a shared page
+//!   cache, or a private [`tfm_storage::BufferPool`]), so concurrent
+//!   readers never contend on session state.
 //! * [`RequestQueue`] — the bounded admission edge: blocking `push` is
 //!   backpressure, non-blocking `try_push` is load shedding.
-//! * **Locality-aware batching** — [`serve_trace`] splits the trace into
-//!   arrival-order batches and (by default) sorts each batch by the
-//!   Hilbert order of the queries' probe centers. Consecutive queries of
-//!   a sorted batch probe neighbouring regions, so their candidate pages
-//!   overlap or adjoin: page accesses that would be random seeks under
-//!   arrival order become buffer hits or sequential reads — directly
-//!   visible in the [`tfm_storage::IoStatsSnapshot`] sequential/random
-//!   split ([`ServeStats::seq_read_fraction`]). See `DESIGN.md` for why
-//!   this falls out of the disk model.
-//! * [`ServeStats`] — per-run aggregates: latency percentiles, pool
-//!   hits/misses, the I/O delta, per-worker query counts.
-//! * **Sharded scatter-gather** — [`ShardedCluster`] partitions the
-//!   dataset into self-contained index shards (each with its own disk,
-//!   cache and worker pool); [`serve_sharded`] routes every probe onto
-//!   only the shards its probe box intersects, scatter-gathers the
-//!   shard-local partials and merges them deterministically. See
-//!   [`serve_sharded`]'s docs and `ARCHITECTURE.md`.
+//! * **One serve driver** behind two entry points. [`serve_trace`] serves
+//!   one engine; [`serve_sharded`] serves a [`ShardedCluster`] — the
+//!   dataset split into self-contained index shards, each probe routed
+//!   onto only the shards its probe box intersects. A single engine is
+//!   the one-shard case: the calling thread batches, routes and feeds
+//!   per-shard bounded queues, every worker of every shard drains its
+//!   shard's queue, and partials merge back by query position. With one
+//!   shard and one worker the run stays inline on the caller.
+//! * **Locality-aware batching** — the trace is split into arrival-order
+//!   batches, each sorted (by default) by the Hilbert order of the
+//!   queries' probe centers. Consecutive queries of a sorted batch probe
+//!   neighbouring regions, so their candidate pages overlap or adjoin:
+//!   page accesses that would be random seeks under arrival order become
+//!   cache hits or sequential reads — visible in the
+//!   [`tfm_storage::IoStatsSnapshot`] sequential/random split
+//!   ([`ServeStats::seq_read_fraction`]). See `DESIGN.md` for why this
+//!   falls out of the disk model.
+//! * [`ServeStats`] — per-run aggregates: critical-path latency
+//!   percentiles, pool hits/misses, the I/O delta, per-worker query
+//!   counts, routing fanout, shedding and per-shard breakdowns.
 //!
 //! # Determinism
 //!
 //! Batch composition depends only on the trace and the batch size (never
-//! on the worker count), each query's result is a pure function of the
-//! query and the index, and results are reassembled by query position —
-//! so the result vector is **byte-identical for any thread count and
-//! either batching mode**. The `serve_equivalence` integration test holds
-//! all engines to that against a sequential full-scan reference.
+//! on the worker or shard count), each query's result is a pure function
+//! of the query and the data, shards hold disjoint element sets, and
+//! results are reassembled by query position — so the result vector is
+//! **byte-identical for any shard count, any thread count and either
+//! batching mode** (load shedding excepted). The `serve_equivalence` and
+//! `shard_equivalence` integration tests hold all engines to that against
+//! a sequential full-scan reference.
 //!
 //! # Example
 //!
@@ -62,6 +68,7 @@
 
 #![warn(missing_docs)]
 
+mod driver;
 mod engines;
 mod queue;
 mod shard;
@@ -69,26 +76,21 @@ mod stats;
 
 pub use engines::{
     GipsyEngine, MutableTransformersEngine, QueryEngine, QuerySession, RtreeEngine,
-    TransformersEngine,
+    ServeEngineKind, TransformersEngine,
 };
 pub use queue::RequestQueue;
 pub use shard::{
-    plan_shards, serve_sharded, IndexShard, ShardEngineKind, ShardPartitioner, ShardRouter,
-    ShardServeConfig, ShardSpec, ShardStats, ShardedCluster, ShardedServeOutcome,
-    ShardedServeStats,
+    plan_shards, serve_sharded, IndexShard, ShardPartitioner, ShardRouter, ShardSpec,
+    ShardedCluster,
 };
-pub use stats::{AutoBatchSummary, LatencySummary, ServeStats};
+pub use stats::{AutoBatchSummary, LatencySummary, ServeStats, ShardStats};
 
-use std::sync::Mutex;
-use std::time::Instant;
-use tfm_geom::{hilbert, Aabb, ElementId, SpatialQuery};
-use tfm_pool::StagePool;
-use tfm_storage::PrefetchQueue;
+use tfm_geom::{ElementId, SpatialQuery};
 
-/// Configuration of one serve run.
+/// Configuration of one serve run, at any shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads executing queries (`0` is clamped to 1).
+    /// Worker threads per shard executing queries (`0` is clamped to 1).
     pub threads: usize,
     /// Queries per batch — the unit of queueing and of locality sorting
     /// (`0` is clamped to 1).
@@ -96,37 +98,38 @@ pub struct ServeConfig {
     /// Sort each batch by the Hilbert order of probe centers before
     /// execution (on by default; turn off for the arrival-order ablation).
     pub hilbert_batching: bool,
-    /// Total buffer-pool budget in pages, split evenly across workers
-    /// (mirrors the parallel join's budget split, so the aggregate cache
-    /// matches a sequential run's instead of multiplying by the worker
-    /// count).
+    /// Total cache budget in pages. Private pools split it evenly across
+    /// every worker session (mirrors the parallel join's budget split, so
+    /// the aggregate cache matches a sequential run's instead of
+    /// multiplying by the worker count); a cluster gives each shard's
+    /// shared cache `pool_pages / shards` (floor 16).
     pub pool_pages: usize,
-    /// Bounded request-queue capacity in batches — the backpressure
-    /// window between the feeding thread and the workers.
+    /// Bounded request-queue capacity in batches per shard — the
+    /// backpressure window between the feeding thread and the workers.
     pub queue_batches: usize,
-    /// Serve through one process-wide shared page cache (the default the
-    /// bench/CLI harnesses construct engines with). `false` is the
-    /// `--private-pool` ablation: each worker session owns a private pool
-    /// of `pool_pages / threads` pages. This field is read by the
-    /// harnesses that *build* engines (`tfm-bench`, the CLI) — a
-    /// hand-constructed engine's mode is fixed by its constructor.
+    /// Serve through shared page caches (the default the bench/CLI
+    /// harnesses and the cluster construct engines with). `false` is the
+    /// `--private-pool` ablation: each worker session owns a private pool.
+    /// This field is read by whatever *builds* engines (`tfm-bench`, the
+    /// CLI, [`serve_sharded`]) — a hand-constructed engine's mode is fixed
+    /// by its constructor.
     pub shared_cache: bool,
     /// Collect one [`tfm_obs::QueryTrace`] per query in
     /// [`ServeOutcome::traces`] (queue-wait/service split and per-query
     /// pool-counter attribution). Off by default: trace records cost a
     /// per-query allocation the hot path otherwise never pays.
     pub collect_traces: bool,
-    /// Dedicated I/O threads keeping prefetch reads in flight — the
-    /// submission queue depth of the readahead pipeline. Only consulted
-    /// when [`ServeConfig::readahead`] enables prefetching; `0` is
-    /// clamped to 1.
+    /// Dedicated I/O threads per shard keeping prefetch reads in flight —
+    /// the submission queue depth of the readahead pipeline. Only
+    /// consulted when [`ServeConfig::readahead`] enables prefetching; `0`
+    /// is clamped to 1.
     pub io_depth: usize,
-    /// Readahead window in pages: the capacity of the bounded
+    /// Readahead window in pages per shard: the capacity of the bounded
     /// [`tfm_storage::PrefetchQueue`] the feeder fills with each batch's
     /// Hilbert-ordered candidate pages. `0` (the default) disables the
     /// prefetch pipeline entirely; it also stays off on engines without a
-    /// shared cache ([`QueryEngine::supports_prefetch`]) and on the
-    /// single-threaded inline path.
+    /// shared cache ([`QueryEngine::supports_prefetch`]) and on the inline
+    /// path (one shard, one worker).
     pub readahead: usize,
     /// Self-tuning batch sizing: every few batches the feeder re-scores
     /// the run from the observed cache hit fraction and sequential-read
@@ -135,15 +138,20 @@ pub struct ServeConfig {
     /// — and decaying back toward the base once the signals recover. Batch
     /// *composition* stays arrival-order slices and results are keyed by
     /// query position, so results are byte-identical to any fixed batch
-    /// size. Only the queued (multi-worker) path tunes; the inline path
-    /// ignores this flag.
+    /// size. The inline path (one shard, one worker) ignores this flag.
     pub auto_batch: bool,
-    /// Eviction policy of the shared page cache the harnesses construct
-    /// engines with (`--cache-policy`): CLOCK (the default/ablation) or
-    /// scan-resistant 2Q admission. Like [`ServeConfig::shared_cache`],
-    /// this is read by the engine *builders* (`tfm-bench`, the CLI); a
-    /// hand-constructed engine's policy is fixed by its constructor.
+    /// Eviction policy of the shared page caches engines are built with
+    /// (`--cache-policy`): CLOCK (the default/ablation) or scan-resistant
+    /// 2Q admission. Like [`ServeConfig::shared_cache`], this is read by
+    /// the engine *builders*; a hand-constructed engine's policy is fixed
+    /// by its constructor.
     pub cache_policy: tfm_storage::CachePolicy,
+    /// Load shedding: admit batches with `try_push` and count rejections
+    /// instead of blocking. Shed partials make the affected queries'
+    /// results incomplete (counted in [`ServeStats::shed_queries`]); leave
+    /// this off for the byte-identical path. The inline path has no queue
+    /// and never sheds.
+    pub shed: bool,
 }
 
 impl Default for ServeConfig {
@@ -160,12 +168,13 @@ impl Default for ServeConfig {
             readahead: 0,
             auto_batch: false,
             cache_policy: tfm_storage::CachePolicy::Clock,
+            shed: false,
         }
     }
 }
 
 impl ServeConfig {
-    /// Builder: sets the worker count.
+    /// Builder: sets the worker count (per shard).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -222,430 +231,49 @@ impl ServeConfig {
         self.cache_policy = policy;
         self
     }
+
+    /// Builder: switches admission from backpressure to load shedding
+    /// (see [`ServeConfig::shed`]).
+    pub fn with_shedding(mut self) -> Self {
+        self.shed = true;
+        self
+    }
 }
 
 /// What a serve run returns: per-query results plus aggregate statistics.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// `results[i]` is the ascending id list answering `trace[i]`.
-    /// Identical for any thread count and batching mode.
+    /// Identical for any shard count, thread count and batching mode
+    /// (unless load was shed).
     pub results: Vec<Vec<ElementId>>,
     /// Aggregate counters of the run.
     pub stats: ServeStats,
     /// Per-query trace records, in trace-ID order; empty unless
     /// [`ServeConfig::collect_traces`] was set. The trace ID is the
-    /// query's position in the input trace, assigned at queue admission,
-    /// so IDs are stable across thread counts and batching modes.
+    /// query's position in the input trace, so IDs are stable across
+    /// thread counts, shard counts and batching modes. A scattered
+    /// query's record is its critical path: the slowest partial's worker
+    /// (global index, shard-major), the maximum service time and queue
+    /// wait, and pool counters and result ids summed over partials.
     pub traces: Vec<tfm_obs::QueryTrace>,
-}
-
-/// Splits `trace` into arrival-order batches of `batch` queries and, when
-/// `hilbert_batching` is on, sorts each batch by the Hilbert index of the
-/// probe centers (over the trace's own center bounding box).
-///
-/// Batch *composition* is always arrival-order — only the order *within*
-/// a batch changes — so results cannot depend on the batching mode.
-pub(crate) fn plan_batches(
-    trace: &[SpatialQuery],
-    batch: usize,
-    hilbert_batching: bool,
-) -> Vec<Vec<usize>> {
-    let universe = Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())));
-    (0..trace.len())
-        .step_by(batch)
-        .map(|start| {
-            let mut ids: Vec<usize> = (start..(start + batch).min(trace.len())).collect();
-            if hilbert_batching {
-                // Tie-break on the query position so the plan is total.
-                ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
-            }
-            ids
-        })
-        .collect()
-}
-
-/// What one worker hands back per executed query.
-struct Executed {
-    qid: usize,
-    ids: Vec<ElementId>,
-    service_nanos: u64,
-    /// Admission-to-pop wait of the query's batch (0 on the inline path).
-    queue_wait_nanos: u64,
-    /// Handle-local pool-counter deltas around this query's probe.
-    pool_hits: u64,
-    pool_misses: u64,
-}
-
-/// One worker's complete contribution: executed queries plus its
-/// session's pool counters.
-struct WorkerOut {
-    worker: usize,
-    done: Vec<Executed>,
-    hits: u64,
-    misses: u64,
 }
 
 /// Replays `trace` against `engine` on `cfg.threads` workers and returns
 /// every query's result plus aggregate [`ServeStats`].
 ///
-/// Queries are queued batch-wise through a bounded [`RequestQueue`]
-/// (worker 0 doubles as the feeder, then joins the drain), executed on
-/// per-worker [`QuerySession`]s, and reassembled by query position. The
-/// result vector is byte-identical for any `threads`/batching setting.
+/// This is the one-shard case of [`serve_sharded`]'s driver: every query
+/// is routed to `engine`. The calling thread batches and feeds a bounded
+/// [`RequestQueue`], the workers drain it on per-worker
+/// [`QuerySession`]s, and results are reassembled by query position; at
+/// one worker the run is inline on the caller. The result vector is
+/// byte-identical for any `threads`/batching setting.
 pub fn serve_trace<E: QueryEngine + ?Sized>(
     engine: &E,
     trace: &[SpatialQuery],
     cfg: &ServeConfig,
 ) -> ServeOutcome {
-    let threads = cfg.threads.max(1);
-    let batch = cfg.batch.max(1);
-    // The self-tuning loop only exists on the queued path: the inline
-    // single-worker path has no queue-vs-locality tradeoff to tune.
-    let auto_on = cfg.auto_batch && threads > 1;
-    let batches = if auto_on {
-        Vec::new() // the feeder slices the trace incrementally instead
-    } else {
-        plan_batches(trace, batch, cfg.hilbert_batching)
-    };
-    let mut n_batches = batches.len();
-    let mut max_batch = batches.iter().map(Vec::len).max().unwrap_or(0);
-    // Filled by the auto-batch feeder: (loop counters, batches fed,
-    // widest batch).
-    let auto_out: Mutex<Option<(AutoBatchSummary, usize, usize)>> = Mutex::new(None);
-    let pool_pages = (cfg.pool_pages / threads).max(1);
-
-    let io_before = engine.io_snapshot();
-    let cache_before = engine.cache_stats();
-    let start = Instant::now();
-
-    let worker_results: Vec<WorkerOut> = if threads == 1 {
-        // Inline fast path: no queue, no spawn — the exact sequential
-        // reference the equivalence tests compare against. No queue means
-        // no queue wait: those samples are honestly zero.
-        let mut session = engine.session(pool_pages);
-        let mut done: Vec<Executed> = Vec::with_capacity(trace.len());
-        for b in &batches {
-            for &qid in b {
-                done.push(execute_one(&mut *session, trace, qid, 0));
-            }
-        }
-        let (hits, misses) = session.pool_counters();
-        vec![WorkerOut {
-            worker: 0,
-            done,
-            hits,
-            misses,
-        }]
-    } else {
-        // Each queue item carries its admission instant so the popping
-        // worker can split queue wait from service time per batch.
-        let queue: RequestQueue<(Vec<usize>, Instant)> =
-            RequestQueue::new(cfg.queue_batches.max(1));
-        let feed: Mutex<Option<Vec<Vec<usize>>>> = Mutex::new(Some(batches));
-        // Readahead pipeline: the feeder pushes each batch's candidate
-        // pages (in the batch's Hilbert order — an ascending page sweep)
-        // into a bounded lossy queue, and `io_depth` dedicated I/O
-        // threads keep that many reads in flight, landing completed
-        // pages directly into shared-cache frames ahead of the workers.
-        let prefetch_on = cfg.readahead > 0 && engine.supports_prefetch();
-        let io_threads = if prefetch_on { cfg.io_depth.max(1) } else { 0 };
-        let prefetch_queue = prefetch_on.then(|| PrefetchQueue::new(cfg.readahead));
-        let pq = prefetch_queue.as_ref();
-        StagePool::new(threads + io_threads).scoped_run(|w| {
-            if w >= threads {
-                // Dedicated prefetch I/O thread: pop page ids and land
-                // them in the cache until the feeder closes the queue.
-                // Device latency (real file seeks, or the injected
-                // `Disk` read latency) is paid here, off the workers'
-                // critical path.
-                let pq = pq.expect("io worker without prefetch queue");
-                let mut scratch = Vec::new();
-                while let Some(id) = pq.pop() {
-                    engine.prefetch_page(id, &mut scratch);
-                }
-                return WorkerOut {
-                    worker: w,
-                    done: Vec::new(),
-                    hits: 0,
-                    misses: 0,
-                };
-            }
-            let mut session = engine.session(pool_pages);
-            let mut done: Vec<Executed> = Vec::new();
-            if w == 0 {
-                // Worker 0 feeds the queue (blocking on the bounded
-                // capacity — backpressure), then drains like everyone
-                // else. Interleaving feeding with the other workers'
-                // draining keeps the backlog within `queue_batches`.
-                let feed_batch = |b: Vec<usize>| {
-                    if let Some(pq) = pq {
-                        // Announce the batch's page schedule before the
-                        // batch itself so the I/O threads start on it
-                        // ahead of the executing workers. `try_push` is
-                        // lossy by design: a full queue means the I/O
-                        // threads are already `readahead` pages ahead.
-                        let probes: Vec<SpatialQuery> = b.iter().map(|&qid| trace[qid]).collect();
-                        for page in engine.prefetch_schedule(&probes) {
-                            pq.try_push(page);
-                        }
-                    }
-                    queue.push((b, Instant::now()));
-                };
-                if auto_on {
-                    feed_auto_batches(engine, trace, cfg, batch, &auto_out, feed_batch);
-                } else {
-                    let batches = feed
-                        .lock()
-                        .expect("feed poisoned")
-                        .take()
-                        .expect("feeder ran twice");
-                    for b in batches {
-                        feed_batch(b);
-                    }
-                }
-                queue.close();
-                if let Some(pq) = pq {
-                    pq.close();
-                }
-            }
-            while let Some((b, admitted)) = queue.pop() {
-                let wait = admitted.elapsed().as_nanos() as u64;
-                for qid in b {
-                    done.push(execute_one(&mut *session, trace, qid, wait));
-                }
-            }
-            let (hits, misses) = session.pool_counters();
-            WorkerOut {
-                worker: w,
-                done,
-                hits,
-                misses,
-            }
-        })
-    };
-
-    let autobatch = if auto_on {
-        let (summary, fed, widest) = auto_out
-            .lock()
-            .expect("auto_out poisoned")
-            .take()
-            .expect("auto-batch feeder did not run");
-        n_batches = fed;
-        max_batch = widest;
-        Some(summary)
-    } else {
-        None
-    };
-
-    let wall = start.elapsed();
-    let io = engine.io_snapshot().delta_since(&io_before);
-    let cache = match (engine.cache_stats(), cache_before) {
-        (Some(after), Some(before)) => Some(after.delta_since(&before)),
-        _ => None,
-    };
-
-    // Deterministic reassembly by query position. Latencies accumulate
-    // into the shared log-bucketed histogram type (always-on, local to
-    // this run) rather than a per-query sample vector; the summaries and
-    // any run-end publication both read its snapshot.
-    let service_hist = tfm_obs::Histogram::new();
-    let wait_hist = tfm_obs::Histogram::new();
-    let mut results: Vec<Vec<ElementId>> = vec![Vec::new(); trace.len()];
-    let mut traces: Vec<tfm_obs::QueryTrace> = Vec::new();
-    let mut result_ids = 0u64;
-    let mut pool_hits = 0u64;
-    let mut pool_misses = 0u64;
-    let mut per_worker_queries = Vec::with_capacity(worker_results.len());
-    for worker in worker_results {
-        if worker.worker >= threads {
-            // Dedicated prefetch I/O threads execute no queries and own
-            // no session; they don't appear in per-worker stats.
-            continue;
-        }
-        pool_hits += worker.hits;
-        pool_misses += worker.misses;
-        per_worker_queries.push(worker.done.len() as u64);
-        for ex in worker.done {
-            result_ids += ex.ids.len() as u64;
-            service_hist.record(ex.service_nanos);
-            wait_hist.record(ex.queue_wait_nanos);
-            if cfg.collect_traces {
-                traces.push(tfm_obs::QueryTrace {
-                    trace_id: ex.qid as u64,
-                    worker: worker.worker as u64,
-                    queue_wait_nanos: ex.queue_wait_nanos,
-                    service_nanos: ex.service_nanos,
-                    pool_hits: ex.pool_hits,
-                    pool_misses: ex.pool_misses,
-                    result_ids: ex.ids.len() as u64,
-                });
-            }
-            results[ex.qid] = ex.ids;
-        }
-    }
-    traces.sort_unstable_by_key(|t| t.trace_id);
-    let service_snap = service_hist.snapshot();
-    let wait_snap = wait_hist.snapshot();
-
-    // Run-end publication into the process-wide registry (one shot, so
-    // per-query counters never double-count): the serve.* family plus the
-    // cache/io signals this run owns. `cache.hits`/`cache.misses` come
-    // from the handle-local pool counters; the shared cache contributes
-    // only its internal extras (evictions, contention, decoded tier).
-    let obs = tfm_obs::global();
-    if obs.is_enabled() {
-        use tfm_obs::names;
-        obs.counter(names::SERVE_QUERIES).add(trace.len() as u64);
-        obs.counter(names::SERVE_BATCHES).add(n_batches as u64);
-        obs.counter(names::SERVE_RESULT_IDS).add(result_ids);
-        obs.histogram(names::SERVE_WALL_NANOS)
-            .record(wall.as_nanos() as u64);
-        obs.histogram(names::SERVE_SERVICE_NANOS)
-            .merge_snapshot(&service_snap);
-        obs.histogram(names::SERVE_QUEUE_WAIT_NANOS)
-            .merge_snapshot(&wait_snap);
-        obs.counter(names::CACHE_HITS).add(pool_hits);
-        obs.counter(names::CACHE_MISSES).add(pool_misses);
-        io.publish(obs);
-        if let Some(c) = &cache {
-            c.publish_shared_extras(obs);
-        }
-        if let Some(ab) = &autobatch {
-            obs.counter(names::SERVE_AUTOBATCH_RETUNES).add(ab.retunes);
-            obs.counter(names::SERVE_AUTOBATCH_GROWS).add(ab.grows);
-            obs.counter(names::SERVE_AUTOBATCH_SHRINKS).add(ab.shrinks);
-            obs.gauge(names::SERVE_AUTOBATCH_FINAL_BATCH)
-                .set(ab.final_batch as i64);
-        }
-    }
-
-    let stats = ServeStats {
-        queries: trace.len() as u64,
-        result_ids,
-        batches: n_batches as u64,
-        max_batch,
-        threads,
-        hilbert_batching: cfg.hilbert_batching,
-        wall,
-        latency: LatencySummary::from_histogram(&service_snap),
-        queue_wait: LatencySummary::from_histogram(&wait_snap),
-        pool_hits,
-        pool_misses,
-        io,
-        per_worker_queries,
-        cache,
-        autobatch,
-    };
-    ServeOutcome {
-        results,
-        stats,
-        traces,
-    }
-}
-
-/// How many batches the auto-batch feeder admits between retune
-/// decisions — long enough to average out per-batch noise in the cache
-/// and I/O counters, short enough to adapt within a few hundred queries.
-const AUTO_BATCH_WINDOW: usize = 8;
-
-/// The self-tuning feeder (`--auto-batch`): slices the trace into
-/// arrival-order batches of a *dynamic* size and re-scores the run every
-/// [`AUTO_BATCH_WINDOW`] batches from two feedback signals — the shared
-/// cache's hit fraction and the disk's sequential-read fraction over the
-/// window. A low score means poor locality: the batch grows (up to 4× the
-/// configured base) so the Hilbert sort gets more queries to order into a
-/// spatial sweep. A recovered score decays the batch back toward the base,
-/// bounding queue latency. Batch composition stays arrival-order slices,
-/// so results are byte-identical to any fixed batch size.
-fn feed_auto_batches<E: QueryEngine + ?Sized>(
-    engine: &E,
-    trace: &[SpatialQuery],
-    cfg: &ServeConfig,
-    base: usize,
-    auto_out: &Mutex<Option<(AutoBatchSummary, usize, usize)>>,
-    feed_batch: impl Fn(Vec<usize>),
-) {
-    let universe = Aabb::union_all(trace.iter().map(|q| Aabb::from_point(q.center())));
-    let cap = base.saturating_mul(4).max(base);
-    let mut cur = base;
-    let mut fed = 0usize;
-    let mut widest = 0usize;
-    let mut since_retune = 0usize;
-    let mut summary = AutoBatchSummary::default();
-    let mut win_cache = engine.cache_stats();
-    let mut win_io = engine.io_snapshot();
-    let mut start = 0usize;
-    while start < trace.len() {
-        let end = (start + cur).min(trace.len());
-        let mut ids: Vec<usize> = (start..end).collect();
-        if cfg.hilbert_batching {
-            // Same within-batch ordering as `plan_batches`.
-            ids.sort_by_key(|&i| (hilbert::index_of_point(&trace[i].center(), &universe), i));
-        }
-        widest = widest.max(ids.len());
-        fed += 1;
-        feed_batch(ids);
-        start = end;
-        since_retune += 1;
-        if since_retune >= AUTO_BATCH_WINDOW && start < trace.len() {
-            since_retune = 0;
-            // Score the window from whichever signals the engine exposes:
-            // shared-cache hit fraction and/or the sequential-read split.
-            // An engine with neither (private pools, zero reads) never
-            // retunes — the loop degenerates to the fixed base size.
-            let io_now = engine.io_snapshot();
-            let io_delta = io_now.delta_since(&win_io);
-            win_io = io_now;
-            let mut score = 0.0f64;
-            let mut signals = 0u32;
-            if let (Some(after), Some(before)) = (engine.cache_stats(), win_cache) {
-                let d = after.delta_since(&before);
-                if d.hits + d.misses > 0 {
-                    score += d.hits as f64 / (d.hits + d.misses) as f64;
-                    signals += 1;
-                }
-                win_cache = Some(after);
-            }
-            if io_delta.reads() > 0 {
-                score += io_delta.seq_read_fraction();
-                signals += 1;
-            }
-            if signals > 0 {
-                let score = score / f64::from(signals);
-                summary.retunes += 1;
-                if score < 0.5 && cur < cap {
-                    cur = (cur * 2).min(cap);
-                    summary.grows += 1;
-                } else if score > 0.8 && cur > base {
-                    cur = (cur / 2).max(base);
-                    summary.shrinks += 1;
-                }
-            }
-        }
-    }
-    summary.final_batch = cur;
-    *auto_out.lock().expect("auto_out poisoned") = Some((summary, fed, widest));
-}
-
-fn execute_one(
-    session: &mut dyn QuerySession,
-    trace: &[SpatialQuery],
-    qid: usize,
-    queue_wait_nanos: u64,
-) -> Executed {
-    let (hits_before, misses_before) = session.pool_counters();
-    let t = Instant::now();
-    let ids = session.execute(&trace[qid]);
-    let service_nanos = t.elapsed().as_nanos() as u64;
-    let (hits_after, misses_after) = session.pool_counters();
-    Executed {
-        qid,
-        ids,
-        service_nanos,
-        queue_wait_nanos,
-        pool_hits: hits_after - hits_before,
-        pool_misses: misses_after - misses_before,
-    }
+    driver::drive(&[engine], None, trace, cfg)
 }
 
 #[cfg(test)]
@@ -666,6 +294,23 @@ mod tests {
         });
         let idx = TransformersIndex::build(&disk, elems.clone(), &IndexConfig::default());
         (disk, idx, elems)
+    }
+
+    /// The batch plan the driver feeds: arrival-order slices of `batch`
+    /// queries, Hilbert-ordered within when `hilbert_batching` is on.
+    fn plan_batches(
+        trace: &[SpatialQuery],
+        batch: usize,
+        hilbert_batching: bool,
+    ) -> Vec<Vec<usize>> {
+        let cfg = ServeConfig {
+            batch,
+            hilbert_batching,
+            ..ServeConfig::default()
+        };
+        let mut batches = Vec::new();
+        driver::feed_batches::<dyn QueryEngine>(&[], trace, &cfg, false, |b| batches.push(b));
+        batches
     }
 
     /// The oracle: a full scan per query.
@@ -1089,6 +734,42 @@ mod tests {
         }));
         let out = serve_trace(&engine, &trace, &ServeConfig::default().with_threads(4));
         assert_eq!(out.results, reference(&mutated, &trace));
+    }
+
+    #[test]
+    fn every_worker_drains_while_the_caller_feeds() {
+        // A slow engine: private pools far smaller than the index and a
+        // disk that sleeps on every read, so both workers stay busy for
+        // the whole trace. The caller feeds; neither worker is blocked in
+        // `push`, so each one executes far more than the queue can hold
+        // after the last batch is admitted.
+        let disk = Disk::in_memory(2048);
+        let elems = generate(&DatasetSpec {
+            max_side: 6.0,
+            ..DatasetSpec::uniform(3000, 50)
+        });
+        let idx = TransformersIndex::build(&disk, elems.clone(), &IndexConfig::default());
+        let disk = disk.with_read_latency(0.02);
+        let trace = generate_trace(&QueryTraceSpec::uniform(240, 51));
+        let engine = TransformersEngine::new(&idx, &disk);
+        let cfg = ServeConfig {
+            threads: 2,
+            batch: 4,
+            queue_batches: 2,
+            pool_pages: 8,
+            ..ServeConfig::default()
+        };
+        let out = serve_trace(&engine, &trace, &cfg);
+        assert_eq!(out.results, reference(&elems, &trace));
+        let backlog = (cfg.queue_batches * cfg.batch) as u64;
+        for (w, &q) in out.stats.per_worker_queries.iter().enumerate() {
+            assert!(
+                q > backlog,
+                "worker {w} executed {q} queries, no more than one queue backlog \
+                 ({backlog}): {:?}",
+                out.stats.per_worker_queries
+            );
+        }
     }
 
     #[test]

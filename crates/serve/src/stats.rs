@@ -95,10 +95,43 @@ pub struct AutoBatchSummary {
     pub final_batch: usize,
 }
 
-/// Aggregate counters of one [`crate::serve_trace`] run.
+/// Per-shard counters of one serve run (a single engine is shard 0).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardStats {
+    /// Shard index.
+    pub shard: usize,
+    /// Query partials routed to this shard.
+    pub routed: u64,
+    /// Query partials actually executed (= routed unless shedding).
+    pub executed: u64,
+    /// Sub-batches refused by the full queue (shedding mode only).
+    pub shed_batches: u64,
+    /// Query partials lost to those refusals.
+    pub shed: u64,
+    /// Per-partial service-time percentiles on this shard.
+    pub service: LatencySummary,
+    /// Per-partial queue-wait percentiles: admission to worker pop.
+    pub queue_wait: LatencySummary,
+    /// This shard's cache-handle hits.
+    pub pool_hits: u64,
+    /// This shard's cache-handle misses (disk page reads).
+    pub pool_misses: u64,
+    /// This shard's own `SharedPageCache` counters for the run (`None`
+    /// for private pools).
+    pub cache: Option<CacheStats>,
+    /// I/O delta on this shard's disk.
+    pub io: IoStatsSnapshot,
+    /// Partials served by each of this shard's workers.
+    pub per_worker_queries: Vec<u64>,
+}
+
+/// Aggregate counters of one [`crate::serve_trace`] or
+/// [`crate::serve_sharded`] run. A single engine is a one-shard cluster
+/// that every query is routed to, so every field means the same at any
+/// shard count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
-    /// Queries executed.
+    /// Queries in the trace.
     pub queries: u64,
     /// Result ids returned, summed over all queries.
     pub result_ids: u64,
@@ -107,34 +140,53 @@ pub struct ServeStats {
     /// Largest batch (the configured batch size unless the trace is
     /// shorter).
     pub max_batch: usize,
-    /// Workers that served the trace.
+    /// Workers per shard that served the trace.
     pub threads: usize,
     /// Whether batches were Hilbert-ordered before execution.
     pub hilbert_batching: bool,
-    /// Wall-clock time of the serve run (queueing + execution).
+    /// Wall-clock time of the serve run (batching, routing, queueing,
+    /// execution).
     pub wall: Duration,
-    /// Per-query service-time percentiles (probe execution only).
+    /// Per-query service-time percentiles (probe execution only). A
+    /// scattered query's service time is its critical path: the maximum
+    /// over its shard partials.
     pub latency: LatencySummary,
-    /// Per-query queue-wait percentiles: batch admission to worker pop.
-    /// All zeros on the single-threaded inline path, which has no queue.
+    /// Per-query queue-wait percentiles (batch admission to worker pop;
+    /// critical path over partials). All zeros on the inline path — one
+    /// shard, one worker — which has no queue.
     pub queue_wait: LatencySummary,
-    /// Buffer-pool hits summed over all worker sessions.
+    /// Cache-handle hits summed over all worker sessions of all shards.
     pub pool_hits: u64,
-    /// Buffer-pool misses (disk page reads) summed over all sessions.
+    /// Cache-handle misses (disk page reads) summed over all sessions.
     pub pool_misses: u64,
-    /// Engine-disk I/O delta during the run (the sequential/random read
-    /// split Hilbert batching is visible in).
+    /// Disk I/O delta during the run, summed over shard disks (the
+    /// sequential/random read split Hilbert batching is visible in).
     pub io: IoStatsSnapshot,
-    /// Queries served by each worker — the skew shows how evenly the
-    /// batch queue spread the load.
+    /// Partials served by each worker, shard-major — the skew shows how
+    /// evenly the batch queues spread the load.
     pub per_worker_queries: Vec<u64>,
-    /// Shared-cache counters of the run (decoded-tier hit rates, shard
-    /// contention); `None` when the engine ran the private-pool ablation.
+    /// Shared-cache counters of the run, summed over shard caches (decoded
+    /// tier, contention); `None` when the engines run private pools.
     pub cache: Option<CacheStats>,
     /// Self-tuning batch-loop counters; `None` unless the run used
-    /// [`crate::ServeConfig::auto_batch`] on the queued (multi-worker)
-    /// path.
+    /// [`crate::ServeConfig::auto_batch`] on a queued path.
     pub autobatch: Option<AutoBatchSummary>,
+    /// Shards the trace was served by (1 for a single engine).
+    pub shards: usize,
+    /// Largest number of shards one query was routed to.
+    pub fanout_max: usize,
+    /// Query partials routed, summed over shards (= Σ per-query fanout).
+    pub routed_partials: u64,
+    /// Query partials lost to shedding (0 with backpressure admission).
+    pub shed_partials: u64,
+    /// Queries whose result is incomplete because ≥ 1 partial was shed.
+    pub shed_queries: u64,
+    /// Peak fraction of shard queues simultaneously full when a batch was
+    /// admitted — the backpressure signal (1.0 means every shard was
+    /// saturated at once).
+    pub max_cluster_pressure: f64,
+    /// Per-shard breakdowns.
+    pub per_shard: Vec<ShardStats>,
 }
 
 impl ServeStats {
@@ -172,6 +224,14 @@ impl ServeStats {
     /// pools).
     pub fn contention_fraction(&self) -> f64 {
         self.cache.map_or(0.0, |c| c.contention_fraction())
+    }
+
+    /// Mean shards routed per query.
+    pub fn fanout_mean(&self) -> f64 {
+        if self.queries == 0 {
+            return 0.0;
+        }
+        self.routed_partials as f64 / self.queries as f64
     }
 }
 

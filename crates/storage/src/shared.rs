@@ -349,6 +349,38 @@ impl CacheStats {
             capacity: self.capacity,
         }
     }
+
+    /// Counter-wise sum of two caches' stats (e.g. every shard cache of a
+    /// cluster); lock stripes and frame capacity add up, the policy is
+    /// `self`'s.
+    pub fn merged(&self, other: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            decoded_hits: self.decoded_hits + other.decoded_hits,
+            decoded_misses: self.decoded_misses + other.decoded_misses,
+            evictions: self.evictions + other.evictions,
+            recycled_frames: self.recycled_frames + other.recycled_frames,
+            fresh_allocs: self.fresh_allocs + other.fresh_allocs,
+            prefetch_issued: self.prefetch_issued + other.prefetch_issued,
+            prefetch_hits: self.prefetch_hits + other.prefetch_hits,
+            prefetch_unused: self.prefetch_unused + other.prefetch_unused,
+            dirty_installs: self.dirty_installs + other.dirty_installs,
+            flushed_pages: self.flushed_pages + other.flushed_pages,
+            lock_acquisitions: self.lock_acquisitions + other.lock_acquisitions,
+            lock_contended: self.lock_contended + other.lock_contended,
+            twoq_ghost_promotions: self.twoq_ghost_promotions + other.twoq_ghost_promotions,
+            twoq_reuse_promotions: self.twoq_reuse_promotions + other.twoq_reuse_promotions,
+            twoq_scan_admissions: self.twoq_scan_admissions + other.twoq_scan_admissions,
+            twoq_probation_evictions: self.twoq_probation_evictions
+                + other.twoq_probation_evictions,
+            twoq_protected_evictions: self.twoq_protected_evictions
+                + other.twoq_protected_evictions,
+            policy: self.policy,
+            shards: self.shards + other.shards,
+            capacity: self.capacity + other.capacity,
+        }
+    }
 }
 
 /// The process-wide sharded page cache. See the module docs.

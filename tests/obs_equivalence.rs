@@ -159,6 +159,71 @@ fn serve_results_identical_with_metrics_and_tracing_on() {
 }
 
 #[test]
+fn every_shard_count_publishes_the_serve_and_shard_families() {
+    // One driver, one publication: a 2-shard cluster publishes the
+    // query-level serve.* and cache.* signals, and a single engine (the
+    // one-shard case) publishes the shard.* family too.
+    use transformers_repro::serve::{serve_sharded, ShardSpec, ShardedCluster};
+    let _guard = OBS_LOCK.lock().unwrap();
+    let elems = uniform(3_000, 98);
+    let trace = generate_trace(&QueryTraceSpec::uniform(200, 99));
+    let cluster = ShardedCluster::build(elems.clone(), &ShardSpec::default().with_shards(2));
+    let cfg = ServeConfig::default().with_threads(2).with_batch(16);
+
+    obs::set_enabled(true);
+    obs::global().reset();
+    let out = serve_sharded(&cluster, &trace, &cfg);
+    let snap = obs::global().snapshot();
+    obs::set_enabled(false);
+    assert_eq!(
+        snap.counter(obs::names::SERVE_QUERIES),
+        Some(out.stats.queries)
+    );
+    let pool: u64 = out
+        .stats
+        .per_shard
+        .iter()
+        .map(|s| s.pool_hits + s.pool_misses)
+        .sum();
+    assert!(pool > 0, "the run must touch pages");
+    assert_eq!(
+        snap.counter(obs::names::CACHE_HITS).unwrap_or(0)
+            + snap.counter(obs::names::CACHE_MISSES).unwrap_or(0),
+        pool
+    );
+    let service = snap
+        .histogram(obs::names::SERVE_SERVICE_NANOS)
+        .expect("service histogram");
+    assert_eq!(service.count, trace.len() as u64, "one sample per query");
+    assert_eq!(
+        snap.counter(obs::names::SHARD_QUERIES),
+        Some(out.stats.queries)
+    );
+    assert!(snap.counter("shard.1.queries").is_some());
+
+    let (disk, idx) = build(&elems);
+    let engine = TransformersEngine::new(&idx, &disk).with_shared_cache(512, 4);
+    obs::set_enabled(true);
+    obs::global().reset();
+    let out = serve_trace(&engine, &trace, &cfg);
+    let snap = obs::global().snapshot();
+    obs::set_enabled(false);
+    assert_eq!(
+        snap.counter(obs::names::SERVE_QUERIES),
+        Some(out.stats.queries)
+    );
+    assert_eq!(
+        snap.counter(obs::names::SHARD_QUERIES),
+        Some(out.stats.queries)
+    );
+    assert_eq!(
+        snap.counter(obs::names::SHARD_ROUTED),
+        Some(out.stats.queries)
+    );
+    assert_eq!(snap.counter("shard.0.queries"), Some(out.stats.queries));
+}
+
+#[test]
 fn rtree_engine_is_also_unperturbed() {
     // The non-TRANSFORMERS engines share the serve plumbing; one spot
     // check guards the generic path.

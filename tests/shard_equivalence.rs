@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use tfm_datagen::{generate, generate_trace, DatasetSpec, ProbeMix, QueryTraceSpec};
 use tfm_geom::{Aabb, ElementId, HasMbb, SpatialElement, SpatialQuery};
 use tfm_serve::{
-    plan_shards, serve_sharded, serve_trace, ServeConfig, ShardEngineKind, ShardPartitioner,
-    ShardRouter, ShardServeConfig, ShardSpec, ShardedCluster, TransformersEngine,
+    plan_shards, serve_sharded, serve_trace, ServeConfig, ServeEngineKind, ShardPartitioner,
+    ShardRouter, ShardSpec, ShardedCluster, TransformersEngine,
 };
 use tfm_storage::Disk;
 use transformers::{IndexConfig, TransformersIndex};
@@ -59,9 +59,9 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
     assert_eq!(unsharded.results, expected);
 
     for engine in [
-        ShardEngineKind::Transformers,
-        ShardEngineKind::Gipsy,
-        ShardEngineKind::Rtree,
+        ServeEngineKind::Transformers,
+        ServeEngineKind::Gipsy,
+        ServeEngineKind::Rtree,
     ] {
         for shards in [1usize, 2, 4, 8] {
             let spec = ShardSpec::default().with_shards(shards).with_engine(engine);
@@ -70,7 +70,7 @@ fn every_shard_and_worker_count_matches_the_unsharded_path() {
                 let out = serve_sharded(
                     &cluster,
                     &trace,
-                    &ShardServeConfig::default().with_workers(workers),
+                    &ServeConfig::default().with_threads(workers),
                 );
                 assert_eq!(
                     out.results, expected,
@@ -99,7 +99,7 @@ fn both_partitioners_agree_with_the_oracle() {
             .with_shards(4)
             .with_partitioner(partitioner);
         let cluster = ShardedCluster::build(elems.clone(), &spec);
-        let out = serve_sharded(&cluster, &trace, &ShardServeConfig::default());
+        let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
         assert_eq!(out.results, expected, "partitioner={partitioner:?}");
     }
 }
@@ -149,7 +149,7 @@ proptest! {
             }
         }
         let cluster = ShardedCluster::build(elems.clone(), &spec);
-        let out = serve_sharded(&cluster, &trace, &ShardServeConfig::default());
+        let out = serve_sharded(&cluster, &trace, &ServeConfig::default());
         prop_assert_eq!(out.results, reference(&elems, &trace));
     }
 }
